@@ -38,6 +38,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 sys.path.insert(0, HERE)
+from pace import adjusted  # noqa: E402
 from workloads import WORKLOADS, make_jobs  # noqa: E402
 
 
@@ -49,19 +50,25 @@ def _env() -> dict:
 
 
 def measure_setup(env: dict) -> float:
-    """Median time from launching a fresh interpreter until `import eitgate` is done."""
-    code = ("import time, eitgate; "
-            "print(time.monotonic(), eitgate.__file__)")
-    samples = []
+    """Median time from launching a fresh interpreter until `import eitgate` is done.
+
+    Each time is adjusted to the reference speed by the probe, which the fresh
+    interpreter starts before it imports eitgate.
+    """
+    code = ("import json, sys, time; sys.path.insert(0, sys.argv[1]); import pace; "
+            "probe = pace.Probe().start(); import eitgate; stamp = time.monotonic(); "
+            "probe.stop(); samples = json.dumps(probe.take(), separators=(',', ':')); "
+            "print(stamp, samples, eitgate.__file__)")
+    times = []
     for _ in range(SETUP_SAMPLES):
         t0 = time.monotonic()
-        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+        proc = subprocess.run([sys.executable, "-c", code, HERE], env=env, cwd=ROOT,
                               capture_output=True, text=True, timeout=60, check=True)
-        stamp, path = proc.stdout.split(maxsplit=1)
+        stamp, samples, path = proc.stdout.split(maxsplit=2)
         if not os.path.abspath(path.strip()).startswith(SRC + os.sep):
             raise SystemExit(f"set-up imported eitgate from {path.strip()}, not {SRC}")
-        samples.append(float(stamp) - t0)
-    return statistics.median(samples)
+        times.append(adjusted(float(stamp) - t0, json.loads(samples)))
+    return statistics.median(times)
 
 
 def run_worker(spec: dict, env: dict, run_dir: str) -> dict:
@@ -142,6 +149,8 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {rounds} round(s) of {len(jobs)} jobs, "
           f"{failed} of {attempted} failed; output checks: {passed} passed, "
           f"{len(failures)} failed")
+    print(f"raw job time median {statistics.median(result['raw_s']):.3f} s; machine speed "
+          f"{min(result['speeds']):.3f} to {max(result['speeds']):.3f} of the reference")
     for line in failures:
         print(f"  FAILED {line}")
     if args.trace:

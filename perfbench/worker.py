@@ -6,8 +6,10 @@ SPEC holds the checkout root, the jobs of one round, the run length, the
 trace flag and the paths to write to.  Every job is one in-process
 `eitgate.cli.main` call whose output goes to a file in the run directory.
 Whole rounds run until the next one would end past the run length; at least
-one always runs.  The result (job and round times, exit codes, peak RSS, and
-for a traced run the per-layer metrics) is written as JSON.
+one always runs.  The machine-speed probe (`pace.py`) samples throughout, and
+every job time is reported both raw and adjusted to the reference speed.
+The result (job and round times, exit codes, peak RSS, and for a traced run
+the per-layer metrics) is written as JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import resource
 import sys
 import time
 import traceback
+
+from pace import Probe, adjusted, speed
 
 
 def _import_eitgate(root: str):
@@ -54,26 +58,33 @@ def run(spec: dict) -> dict:
         tracer = Tracer()
         instrument(tracer, modules)
     argvs = _argvs(spec["jobs"], spec["run_dir"])
-    job_s, round_s, codes = [], [], []
+    raw_s, job_s, round_s, speeds, codes = [], [], [], [], []
+    probe = Probe().start()
     start = time.perf_counter()
     while True:
         r = len(round_s)
-        t_round = time.perf_counter()
+        round_s.append(0.0)
         for j, argv in enumerate(argvs):
             out = os.path.join(spec["run_dir"], f"out_r{r}_j{j}.txt")
+            probe.take()
             t_job = time.perf_counter()
             try:
                 code = cli.main(argv + ["--out", out])
             except Exception:       # a crash counts as a failed operation
                 traceback.print_exc()
                 code = -1
-            job_s.append(time.perf_counter() - t_job)
+            raw_s.append(time.perf_counter() - t_job)
+            samples = probe.take()
+            job_s.append(adjusted(raw_s[-1], samples))
+            speeds.append(speed(samples))
+            round_s[r] += job_s[-1]
             codes.append(code)
-        round_s.append(time.perf_counter() - t_round)
         elapsed = time.perf_counter() - start
         if elapsed + elapsed / len(round_s) > spec["seconds"]:
             break
-    result = {"job_s": job_s, "round_s": round_s, "codes": codes,
+    probe.stop()
+    result = {"job_s": job_s, "raw_s": raw_s, "round_s": round_s, "speeds": speeds,
+              "codes": codes,
               "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
     if tracer is not None:
         from layers import layer_metrics
