@@ -4,10 +4,8 @@ from .analytic_design import (AuxiliaryFactors, PhaseTarget, asymptotic_design,
                               aux_factors, decoherence_error, fock_dephasing_bound,
                               gate_time, optimal_detuning, tau_eff,
                               tau_eff_at_optimum)
-from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, FockExpansion,
-                            GateDesign, design_point, gate_error, ideal_overlap,
-                            kerr_phase_state, min_alpha_b, one_qubit_error,
-                            per_component_response, spread_error, truncation_bound)
+from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
+                            design_point, gate_error, min_alpha_b, one_qubit_error)
 from .core_model import (ResponseW10, SystemParams, kerr_approximation, rho10_at,
                          w10)
 from .design_optimizer import (OptimizationConstraints, SweepRow, SweepSpec,
@@ -16,10 +14,8 @@ from .design_optimizer import (OptimizationConstraints, SweepRow, SweepSpec,
 from .errors import (ConfigError, DegenerateDenominator, DegenerateParams,
                      DivisionByZero, GateModelError, InvalidInput,
                      MonotonicityViolation, NoConvergence, NotAttainable,
-                     RegimeWarning, StepSizeUnderflow, TruncationNotConverged,
-                     ZeroPhaseRate)
-from .lindblad_oracle import (CoherenceVector, OracleReport, Trajectory, chain_rhs,
-                              export_trajectory_csv, integrate, steady_chain_rate,
-                              verify_qss)
+                     RegimeWarning, StepSizeUnderflow, ZeroPhaseRate)
+from .lindblad_oracle import (CoherenceVector, OracleReport, Trajectory, integrate,
+                              steady_chain_rate, verify_qss)
 
 __version__ = "0.1.0"

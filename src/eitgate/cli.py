@@ -42,11 +42,7 @@ _SYSTEM_DEFAULTS = dict(
 )
 _SYSTEM_INT_FIELDS = {"n_a", "n_c", "n_atoms"}
 
-_CONSTRAINT_DEFAULTS = dict(
-    omega_a_over_gamma_20=1.0, omega_b_sq_over_omega_c_sq=1.0, suppression=1.0,
-    nu_c_range=None, alpha_b_range=(1.0, 150.0), mode=TWO_QUBIT,
-    phi=math.pi, alpha_c_over_alpha_b=10.0,
-)
+_CONSTRAINT_DEFAULTS = dataclasses.asdict(OptimizationConstraints())
 
 
 @dataclass(frozen=True)
@@ -77,6 +73,9 @@ class OracleOptions:
     omega_a_scan: tuple[float, ...] = (0.1, 0.3, 1.0)
 
 
+_EVAL, _DESIGN, _SWEEP, _ORACLE = EvalOptions(), DesignOptions(), SweepOptions(), OracleOptions()
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration; round-trips losslessly through JSON."""
@@ -100,14 +99,19 @@ def _check_keys(block: dict, allowed, path: str) -> None:
                               f"unknown key '{key}'")
 
 
+def _is_finite_number(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
+
+
 def _number(block: dict, key: str, default, path: str, integer=False, optional=False):
     if key not in block or block[key] is None:
         if optional and (key in block or default is None):
             return None if key in block else default
         return default
     value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}.{key}' must be a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(f"'{path}.{key}' must be a finite number, got {value!r}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"'{path}.{key}' must be an integer, got {value!r}")
@@ -120,8 +124,8 @@ def _pair(block: dict, key: str, default, path: str):
         return default
     value = block[key]
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"'{path}.{key}' must be a pair of numbers, got {value!r}")
+            or not all(_is_finite_number(v) for v in value)):
+        raise ConfigError(f"'{path}.{key}' must be a pair of finite numbers, got {value!r}")
     return (float(value[0]), float(value[1]))
 
 
@@ -165,8 +169,8 @@ def _parse_values(block: dict, key: str, default, path: str) -> tuple[float, ...
         return default
     value = block[key]
     if (not isinstance(value, (list, tuple)) or len(value) == 0
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"'{path}.{key}' must be a non-empty list of numbers")
+            or not all(_is_finite_number(v) for v in value)):
+        raise ConfigError(f"'{path}.{key}' must be a non-empty list of finite numbers")
     return tuple(float(v) for v in value)
 
 
@@ -186,26 +190,27 @@ def parse_config(data: dict) -> RunConfig:
 
     ev = data.get("eval", {})
     _check_keys(ev, {"phi", "delta", "n_b", "kerr"}, "eval")
-    kerr = ev.get("kerr", True)
+    kerr = ev.get("kerr", _EVAL.kerr)
     if not isinstance(kerr, bool):
         raise ConfigError(f"'eval.kerr' must be a boolean, got {kerr!r}")
     eval_options = EvalOptions(
-        phi=_number(ev, "phi", math.pi, "eval"),
-        delta=_number(ev, "delta", 0.2, "eval"),
-        n_b=_number(ev, "n_b", 100, "eval", integer=True),
+        phi=_number(ev, "phi", _EVAL.phi, "eval"),
+        delta=_number(ev, "delta", _EVAL.delta, "eval"),
+        n_b=_number(ev, "n_b", _EVAL.n_b, "eval", integer=True),
         kerr=kerr,
     )
 
     dz = data.get("design", {})
     _check_keys(dz, {"delta_target", "gamma_10"}, "design")
     design_options = DesignOptions(
-        delta_target=_number(dz, "delta_target", 0.2, "design", optional=True),
-        gamma_10=_number(dz, "gamma_10", None, "design", optional=True),
+        delta_target=_number(dz, "delta_target", _DESIGN.delta_target, "design",
+                             optional=True),
+        gamma_10=_number(dz, "gamma_10", _DESIGN.gamma_10, "design", optional=True),
     )
 
     sw = data.get("sweep", {})
     _check_keys(sw, {"quantity", "values", "constraint_sets"}, "sweep")
-    quantity = sw.get("quantity", "delta_target")
+    quantity = sw.get("quantity", _SWEEP.quantity)
     if quantity not in ("gamma_10", "delta_target"):
         raise ConfigError(f"'sweep.quantity' must be 'gamma_10' or 'delta_target', "
                           f"got {quantity!r}")
@@ -220,16 +225,16 @@ def parse_config(data: dict) -> RunConfig:
                                               path=f"sweep.constraint_sets[{i}]"))
     sweep_options = SweepOptions(
         quantity=quantity,
-        values=_parse_values(sw, "values", (0.2,), "sweep"),
+        values=_parse_values(sw, "values", _SWEEP.values, "sweep"),
         constraint_sets=tuple(parsed_sets),
     )
 
     co = data.get("check_oracle", {})
     _check_keys(co, {"t_final", "tol", "omega_a_scan"}, "check_oracle")
     oracle_options = OracleOptions(
-        t_final=_number(co, "t_final", None, "check_oracle", optional=True),
-        tol=_number(co, "tol", 1e-10, "check_oracle"),
-        omega_a_scan=_parse_values(co, "omega_a_scan", (0.1, 0.3, 1.0), "check_oracle"),
+        t_final=_number(co, "t_final", _ORACLE.t_final, "check_oracle", optional=True),
+        tol=_number(co, "tol", _ORACLE.tol, "check_oracle"),
+        omega_a_scan=_parse_values(co, "omega_a_scan", _ORACLE.omega_a_scan, "check_oracle"),
     )
 
     fmt = data.get("format", "json")
@@ -425,6 +430,13 @@ def _emit_reports(reports: list[dict], fmt: str, fh) -> None:
             fh.write(",".join(_csv_cell(rep.get(k, "")) for k in keys) + "\n")
 
 
+def _emit_sweep(rows: list, fmt: str, fh) -> None:
+    if fmt == "csv":
+        sweep_to_csv(rows, fh)
+    else:
+        sweep_to_json(rows, fh)
+
+
 def _open_out(config: RunConfig):
     if config.out is None:
         return sys.stdout, False
@@ -479,6 +491,10 @@ def main(argv=None) -> int:
     try:
         config = _load(args)
         if args.command == "design":
+            for flag in ("delta", "gamma10", "suppression"):
+                value = getattr(args, flag)
+                if value is not None and not math.isfinite(value):
+                    raise ConfigError(f"--{flag} must be finite, got {value}")
             d_opts = config.design_options
             if args.delta is not None:
                 d_opts = DesignOptions(delta_target=args.delta, gamma_10=None)
@@ -495,51 +511,26 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        ok = True
         if args.command == "eval":
-            report = cmd_eval(config)
-            fh, close = _open_out(config)
-            try:
-                _emit_table(report, config.format, fh)
-            finally:
-                if close:
-                    fh.close()
-            return 0
-        if args.command == "design":
-            report = cmd_design(config)
-            fh, close = _open_out(config)
-            try:
-                _emit_table(report, config.format, fh)
-            finally:
-                if close:
-                    fh.close()
-            return 0
+            result, write = cmd_eval(config), _emit_table
+        elif args.command == "design":
+            result, write = cmd_design(config), _emit_table
+        elif args.command == "sweep":
+            result, summary = cmd_sweep(config)
+            write = _emit_sweep
+        else:
+            result, ok = cmd_check_oracle(config)
+            write = _emit_reports
+        fh, close = _open_out(config)
+        try:
+            write(result, config.format, fh)
+        finally:
+            if close:
+                fh.close()
         if args.command == "sweep":
-            rows, summary = cmd_sweep(config)
-            fh, close = _open_out(config)
-            try:
-                if config.format == "csv":
-                    sweep_to_csv(rows, fh)
-                else:
-                    sweep_to_json(rows, fh)
-            finally:
-                if close:
-                    fh.close()
             print(f"rows={summary['rows']} failures={summary['failures']}",
                   file=sys.stderr if config.out is None else sys.stdout)
-            return 0
-        if args.command == "check-oracle":
-            reports, ok = cmd_check_oracle(config)
-            fh, close = _open_out(config)
-            try:
-                _emit_reports(reports, config.format, fh)
-            finally:
-                if close:
-                    fh.close()
-            if not ok:
-                print(f"oracle deviation bound violated at omega_a = "
-                      f"{ORACLE_HARD_POINT} gamma_20", file=sys.stderr)
-                return 4
-            return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -549,7 +540,11 @@ def main(argv=None) -> int:
     except GateModelError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError(f"unhandled command {args.command}")
+    if not ok:
+        print(f"oracle deviation bound violated at omega_a = "
+              f"{ORACLE_HARD_POINT} gamma_20", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

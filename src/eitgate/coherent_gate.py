@@ -23,11 +23,10 @@ import numpy as np
 from scipy.stats import poisson
 
 from .analytic_design import PhaseTarget, gate_time, optimal_detuning
-from .core_model import EPS_DEN, SystemParams, w10
-from .errors import (DivisionByZero, InvalidInput, NotAttainable, RegimeWarning,
-                     TruncationNotConverged)
+from .core_model import SystemParams, _w10_terms
+from .errors import InvalidInput, NotAttainable, RegimeWarning
 
-EPS_TRUNC = 1e-10
+EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"
@@ -73,193 +72,115 @@ class ErrorBudget:
             raise InvalidInput("delta_total inconsistent with 1 - fidelity^2")
 
 
-@dataclass(frozen=True, eq=False)
-class FockExpansion:
-    """Truncated Fock-basis amplitudes of the evolved drive state."""
-
-    amplitudes: np.ndarray
-    n_max: int
-    tail_mass: float
-
-    def __post_init__(self):
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2)) + self.tail_mass
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidInput(f"FockExpansion norm + tail = {norm}, expected 1")
-        if self.tail_mass > EPS_TRUNC:
-            raise TruncationNotConverged(
-                f"tail mass {self.tail_mass:.3e} exceeds {EPS_TRUNC:.0e}")
-
-
-def truncation_bound(alpha_b: float, eps: float = EPS_TRUNC) -> int:
-    """Smallest n_max whose Poisson(|alpha_b|^2) upper tail mass is <= eps."""
-    if alpha_b < 0:
-        raise InvalidInput(f"alpha_b must be >= 0, got {alpha_b}")
-    if not 0.0 < eps < 1.0:
-        raise InvalidInput(f"eps must be in (0, 1), got {eps}")
-    if alpha_b == 0.0:
-        return 0
-    mu = alpha_b ** 2
-    n = int(poisson.isf(eps, mu))
-    while n > 0 and poisson.sf(n - 1, mu) <= eps:
-        n -= 1
-    while poisson.sf(n, mu) > eps:
-        n += 1
-    return n
-
-
-def _poisson_window(mu: float, eps: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fock indices covering all but <= eps of Poisson(mu), with weights.
+def _poisson_window(mu: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Fock indices covering all but <= EPS_TRUNC of Poisson(mu), with weights.
 
     Returns (indices, weights, missing) where missing is the cdf/sf-verified
-    mass outside the window.  The quantile-function guesses are checked and
-    widened if needed (scipy's discrete quantile inversion drifts at extreme
-    quantiles for large mu), and the missing mass is measured through cdf/sf
-    rather than 1 - sum(pmf): the pmf bulk carries a coherent relative
-    rounding of order mu * eps_machine that would otherwise be mistaken for
-    truncated mass.
+    mass outside the window, at most EPS_TRUNC / 2 on each side.  The
+    quantile-function guesses are checked and widened if needed (scipy's
+    discrete quantile inversion drifts at extreme quantiles for large mu), and
+    the missing mass is measured through cdf/sf rather than 1 - sum(pmf): the
+    pmf bulk carries a coherent relative rounding of order mu * eps_machine
+    that would otherwise be mistaken for truncated mass.
     """
     if mu == 0.0:
         return np.array([0]), np.array([1.0]), 0.0
-    side = eps / 2.0
+    side = EPS_TRUNC / 2.0
+    step = max(1, int(0.02 * math.sqrt(mu)))
     hi = int(poisson.isf(side, mu)) + 1
-    while poisson.sf(hi, mu) > side:
-        hi += max(1, int(0.02 * math.sqrt(mu)))
+    upper = float(poisson.sf(hi, mu))
+    while upper > side:
+        hi += step
+        upper = float(poisson.sf(hi, mu))
     lo = max(0, int(poisson.ppf(side, mu)) - 1)
-    while lo > 0 and poisson.cdf(lo - 1, mu) > side:
-        lo = max(0, lo - max(1, int(0.02 * math.sqrt(mu))))
+    lower = float(poisson.cdf(lo - 1, mu)) if lo > 0 else 0.0
+    while lower > side:
+        lo = max(0, lo - step)
+        lower = float(poisson.cdf(lo - 1, mu)) if lo > 0 else 0.0
     n = np.arange(lo, hi + 1)
-    missing = float(poisson.sf(hi, mu))
-    if lo > 0:
-        missing += float(poisson.cdf(lo - 1, mu))
-    return n, poisson.pmf(n, mu), missing
-
-
-def kerr_phase_state(alpha_b: float, phi: float, n_a: int = 1, n_c: int = 1,
-                     eps: float = EPS_TRUNC) -> FockExpansion:
-    """Coherent drive state after the gate, in the idealized Kerr limit.
-
-    Component n >= 1 acquires exp(-i n_a n_c phi |alpha_b|^2 / n); the vacuum
-    component carries zero phase (with no drive photons the dispersive
-    mechanism is absent, and its Poisson weight exp(-|alpha_b|^2) is
-    negligible at design amplitudes).
-    """
-    if alpha_b < 0:
-        raise InvalidInput(f"alpha_b must be >= 0, got {alpha_b}")
-    if n_a < 0 or n_c < 0:
-        raise InvalidInput("photon numbers must be >= 0")
-    n_max = truncation_bound(alpha_b, eps)
-    mu = alpha_b ** 2
-    n = np.arange(0, n_max + 1)
-    weights = poisson.pmf(n, mu)
-    phases = np.zeros(n_max + 1)
-    if n_max >= 1:
-        phases[1:] = n_a * n_c * phi * mu / n[1:]
-    # the complement of the captured mass, so the normalization identity is
-    # exact in floating point (scipy's pmf and sf disagree at ~1e-12)
-    tail = max(0.0, 1.0 - math.fsum(weights))
-    return FockExpansion(amplitudes=np.sqrt(weights) * np.exp(-1j * phases),
-                         n_max=n_max, tail_mass=tail)
-
-
-def ideal_overlap(state: FockExpansion, phi: float, n_a: int = 1, n_c: int = 1) -> complex:
-    """Overlap of the evolved drive state with the ideally phase-shifted input."""
-    return np.exp(1j * n_a * n_c * phi) * np.sum(np.abs(state.amplitudes) * state.amplitudes)
-
-
-def spread_error(state: FockExpansion, phi: float, n_a: int = 1, n_c: int = 1) -> float:
-    """Finite-amplitude error 1 - |<ideal|psi>|^2 of the idealized Kerr state."""
-    return 1.0 - abs(ideal_overlap(state, phi, n_a, n_c)) ** 2
+    return n, poisson.pmf(n, mu), upper + lower
 
 
 def _response_grid(params: SystemParams, omega_b, omega_c):
-    """Vectorized W10 over effective drive amplitudes.
+    """W10 over arrays of effective drive and signal amplitudes.
 
-    Components with a vanishing denominator (possible only in idealized
+    Components with a degenerate denominator (possible only in idealized
     zero-width configurations, e.g. the undriven vacuum component with
-    gamma_20 = 0) are assigned zero response, extending the zero-phase
-    vacuum convention of kerr_phase_state.
+    gamma_20 = 0) are assigned zero response: without drive photons the
+    dispersive mechanism is absent.
     """
-    d3 = params.nu_a - params.nu_b
-    d4 = d3 + params.nu_c
-    a3 = d3 + 1j * params.gamma_30
-    a4 = d4 + 1j * params.gamma_40
-    bracket = a3 * a4 - np.asarray(omega_c) ** 2
-    num = -bracket * params.omega_a ** 2
-    den = (params.nu_a + 1j * params.gamma_20) * bracket - a4 * np.asarray(omega_b) ** 2
-    scale = (np.abs((params.nu_a + 1j * params.gamma_20) * bracket)
-             + np.abs(a4) * np.asarray(omega_b) ** 2)
-    bad = np.abs(den) <= EPS_DEN * scale
-    w = np.where(bad, 0.0, num) / np.where(bad, 1.0, den)
-    return w
+    num, den, bad = _w10_terms(params, np.asarray(omega_b), np.asarray(omega_c))
+    return np.where(bad, 0.0, num) / np.where(bad, 1.0, den)
 
 
-def per_component_response(params: SystemParams, n_b: int, time_norm: float):
-    """Phase and damping of one Fock component of the drive.
+def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBudget:
+    """Error budget from the Poisson-weighted sum over (n_b, n_c) components.
 
-    Evaluates the exact response at |Omega_b| = |Omega~_b| sqrt(n_b) (n_b = 0
-    is a regular point) and returns (-Re(W10) N t, (gamma_10 + Im(W10)) N t)
-    for the interaction time time_norm = |Omega_a| N t.
+    Component (n_b, n_c) picks up the phase and damping of the exact response
+    at (|Omega~_b| sqrt(n_b), |Omega~_c| sqrt(n_c)) over time_norm.  The sum
+    is accumulated in fixed row blocks, so memory stays bounded at large
+    amplitudes and the reduction order is deterministic, and it is
+    normalized by the captured Poisson mass, so the truncated tail does not
+    masquerade as decoherence.
     """
-    if n_b < 0:
-        raise InvalidInput(f"n_b must be >= 0, got {n_b}")
-    if params.omega_a == 0:
-        raise DivisionByZero("per_component_response: |Omega_a| = 0")
-    wp = replace(params, omega_b_tilde=params.omega_b_tilde * math.sqrt(n_b))
-    w = w10(wp)
+    omega_c = params.omega_c_tilde * np.sqrt(nc)[None, :]
     nt = time_norm / params.omega_a
-    return -w.phase_rate * nt, (params.gamma_10 + w.absorption_rate) * nt
-
-
-def _budget_from_sums(m_full: complex, m_spread: complex, m_damp: float) -> ErrorBudget:
-    """Assemble the error budget from the three Poisson-averaged overlaps."""
-    fid = min(float(np.abs(m_full)), 1.0)
+    block = max(1, int(1_000_000 / len(nc)))
+    m_full = 0.0 + 0.0j
+    m_spread = 0.0 + 0.0j
+    m_damp = 0.0
+    wsum = 0.0
+    for i in range(0, len(nb), block):
+        rows = slice(i, min(i + block, len(nb)))
+        omega_b = params.omega_b_tilde * np.sqrt(nb[rows])[:, None]
+        w = _response_grid(params, omega_b, omega_c)
+        phases = -np.real(w) * nt
+        taus = (params.gamma_10 + np.imag(w)) * nt
+        weights = pb[rows][:, None] * pc[None, :]
+        m_full += np.sum(weights * np.exp(-1j * phases - taus))
+        m_spread += np.sum(weights * np.exp(-1j * phases))
+        m_damp += float(np.sum(weights * np.exp(-taus)))
+        wsum += float(np.sum(weights))
+    fid = min(float(np.abs(m_full / wsum)), 1.0)
     return ErrorBudget(
-        delta_decoherence=max(0.0, 1.0 - min(float(m_damp), 1.0) ** 2),
-        delta_coherent_spread=max(0.0, 1.0 - min(float(np.abs(m_spread)), 1.0) ** 2),
+        delta_decoherence=max(0.0, 1.0 - min(float(m_damp / wsum), 1.0) ** 2),
+        delta_coherent_spread=max(0.0, 1.0 - min(float(np.abs(m_spread / wsum)), 1.0) ** 2),
         delta_total=1.0 - fid ** 2,
         fidelity=fid,
     )
 
 
-def _budget_from_terms(weights, phases, taus) -> ErrorBudget:
-    """Error budget from per-component phases and dampings.
-
-    The sums are normalized by the captured Poisson mass, so the truncated
-    tail (below the convergence tolerance by construction) does not
-    masquerade as decoherence.
-    """
-    wsum = float(np.sum(weights))
-    m_full = np.sum(weights * np.exp(-1j * phases - taus)) / wsum
-    m_spread = np.sum(weights * np.exp(-1j * phases)) / wsum
-    m_damp = float(np.sum(weights * np.exp(-taus))) / wsum
-    return _budget_from_sums(m_full, m_spread, m_damp)
-
-
 def _two_qubit_budget(params: SystemParams, nu_c: float, alpha_b: float,
-                      phi: float, eps: float = EPS_TRUNC,
-                      n_max: int | None = None) -> tuple[ErrorBudget, float]:
+                      phi: float) -> tuple[ErrorBudget, float]:
     """Error budget and time_norm at a two-qubit operating point.
 
     params carries per-photon amplitudes; the interaction time is calibrated
-    so the mean drive component acquires exactly phi.
+    so the mean drive component acquires exactly phi.  Mode c holds the
+    single Fock component n_c.
     """
     wp = replace(params, nu_c=nu_c)
     mean = replace(wp, omega_b_tilde=params.omega_b_tilde * alpha_b)
     time_norm = gate_time(mean, PhaseTarget(phi))
-    mu = alpha_b ** 2
-    if n_max is None:
-        n_max = truncation_bound(alpha_b, eps)
-    n = np.arange(0, n_max + 1)
-    weights = poisson.pmf(n, mu) if mu > 0 else np.array([1.0] + [0.0] * n_max)
-    tail = float(poisson.sf(n_max, mu)) if mu > 0 else 0.0
-    if tail > eps:
-        raise TruncationNotConverged(
-            f"tail mass {tail:.3e} beyond n_max={n_max} exceeds eps={eps:.3e}")
-    w = _response_grid(wp, params.omega_b_tilde * np.sqrt(n), wp.omega_c)
-    nt = time_norm / params.omega_a
-    phases = -np.real(w) * nt
-    taus = (params.gamma_10 + np.imag(w)) * nt
-    return _budget_from_terms(weights, phases, taus), time_norm
+    nb, pb, _ = _poisson_window(alpha_b ** 2)
+    budget = _fock_sum(wp, time_norm, nb, pb, np.array([params.n_c]), np.array([1.0]))
+    return budget, time_norm
+
+
+def _one_qubit_budget(params: SystemParams, nu_c: float, alpha_b: float,
+                      alpha_c: float, phi: float) -> tuple[ErrorBudget, float]:
+    """Error budget and time_norm for coherent drives in both modes b and c.
+
+    The interaction time is calibrated so the mean (alpha_b, alpha_c)
+    component acquires exactly phi; the Fock sum runs over the product of
+    the two modes' Poisson windows.
+    """
+    wp = replace(params, nu_c=nu_c, n_c=1)
+    mean = replace(wp, omega_b_tilde=params.omega_b_tilde * alpha_b,
+                   omega_c_tilde=params.omega_c_tilde * alpha_c)
+    time_norm = gate_time(mean, PhaseTarget(phi))
+    nb, pb, _ = _poisson_window(alpha_b ** 2)
+    nc, pc, _ = _poisson_window(alpha_c ** 2)
+    return _fock_sum(wp, time_norm, nb, pb, nc, pc), time_norm
 
 
 def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
@@ -300,70 +221,23 @@ def _check_design(params: SystemParams, design: GateDesign, alpha_c=None):
             f"gamma_40/gamma_20 = {expected.suppression!r}")
 
 
-def gate_error(params: SystemParams, design: GateDesign,
-               eps_trunc: float = EPS_TRUNC, n_max: int | None = None) -> ErrorBudget:
+def gate_error(params: SystemParams, design: GateDesign) -> ErrorBudget:
     """Error budget of the two-qubit gate at a design point.
 
     The dual-rail coherence after the gate is rho_10(0) times
     sum_n P(n) exp(-i phi_n - tau_n); the budget is built from the modulus
     of that sum (delta_total = 1 - F^2) with the spread and decoherence
     components obtained by switching off the other mechanism.
-
-    Raises
-    ------
-    TruncationNotConverged
-        If the Poisson tail beyond the truncation order exceeds eps_trunc.
     """
     if design.mode != TWO_QUBIT:
         raise InvalidInput("gate_error handles two-qubit designs; "
                            "use one_qubit_error for the one-qubit variant")
     _check_design(params, design)
-    budget, _ = _two_qubit_budget(params, design.nu_c, design.alpha_b,
-                                  design.phi, eps=eps_trunc, n_max=n_max)
+    budget, _ = _two_qubit_budget(params, design.nu_c, design.alpha_b, design.phi)
     return budget
 
 
-def _one_qubit_budget(params: SystemParams, nu_c: float, alpha_b: float,
-                      alpha_c: float, phi: float,
-                      eps: float = EPS_TRUNC) -> tuple[ErrorBudget, float]:
-    """Error budget for coherent drives in both modes b and c.
-
-    The double Fock sum runs over the product of per-mode Poisson windows,
-    accumulated in fixed row blocks so memory stays bounded at large
-    amplitudes and the reduction order is deterministic.
-    """
-    wp = replace(params, nu_c=nu_c, n_c=1)
-    mean = replace(wp, omega_b_tilde=params.omega_b_tilde * alpha_b,
-                   omega_c_tilde=params.omega_c_tilde * alpha_c)
-    time_norm = gate_time(mean, PhaseTarget(phi))
-    nb, pb, miss_b = _poisson_window(alpha_b ** 2, eps)
-    nc, pc, miss_c = _poisson_window(alpha_c ** 2, eps)
-    if miss_b + miss_c > 2 * eps:
-        raise TruncationNotConverged(
-            f"joint tail mass {miss_b + miss_c:.3e} exceeds eps={eps:.3e}")
-    omega_c = params.omega_c_tilde * np.sqrt(nc)[None, :]
-    nt = time_norm / params.omega_a
-    block = max(1, int(1_000_000 / len(nc)))
-    m_full = 0.0 + 0.0j
-    m_spread = 0.0 + 0.0j
-    m_damp = 0.0
-    wsum = 0.0
-    for i in range(0, len(nb), block):
-        rows = slice(i, min(i + block, len(nb)))
-        omega_b = params.omega_b_tilde * np.sqrt(nb[rows])[:, None]
-        w = _response_grid(wp, omega_b, omega_c)
-        phases = -np.real(w) * nt
-        taus = (params.gamma_10 + np.imag(w)) * nt
-        weights = pb[rows][:, None] * pc[None, :]
-        m_full += np.sum(weights * np.exp(-1j * phases - taus))
-        m_spread += np.sum(weights * np.exp(-1j * phases))
-        m_damp += float(np.sum(weights * np.exp(-taus)))
-        wsum += float(np.sum(weights))
-    return _budget_from_sums(m_full / wsum, m_spread / wsum, m_damp / wsum), time_norm
-
-
-def one_qubit_error(params: SystemParams, design: GateDesign, alpha_c: float,
-                    eps_trunc: float = EPS_TRUNC) -> ErrorBudget:
+def one_qubit_error(params: SystemParams, design: GateDesign, alpha_c: float) -> ErrorBudget:
     """Error budget of the one-qubit phase gate (modes b and c coherent).
 
     Poisson-weighted double sum over (n_b, n_c) with the exact response at
@@ -380,14 +254,13 @@ def one_qubit_error(params: SystemParams, design: GateDesign, alpha_c: float,
                       RegimeWarning, stacklevel=2)
     _check_design(params, design, alpha_c=alpha_c)
     budget, _ = _one_qubit_budget(params, design.nu_c, design.alpha_b,
-                                  alpha_c, design.phi, eps=eps_trunc)
+                                  alpha_c, design.phi)
     return budget
 
 
 def min_alpha_b(params: SystemParams, phi: float, delta_target: float,
                 alpha_c_ratio: float = 10.0, nu_c: float | None = None,
-                alpha_max: float = 400.0, tol: float = 0.02,
-                eps_trunc: float = EPS_TRUNC) -> float:
+                alpha_max: float = 400.0, tol: float = 0.02) -> float:
     """Smallest drive amplitude whose spread-only one-qubit error <= target.
 
     The detuning defaults to the closed-form optimum at the mean drive
@@ -407,8 +280,7 @@ def min_alpha_b(params: SystemParams, phi: float, delta_target: float,
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RegimeWarning)
                 nc = optimal_detuning(mean)
-        budget, _ = _one_qubit_budget(params, nc, alpha, alpha * alpha_c_ratio,
-                                      phi, eps=eps_trunc)
+        budget, _ = _one_qubit_budget(params, nc, alpha, alpha * alpha_c_ratio, phi)
         return budget.delta_coherent_spread
 
     hi = min(alpha_max,

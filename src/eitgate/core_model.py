@@ -11,6 +11,7 @@ drive machinery evaluates one Fock component at a time).
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,9 @@ class SystemParams:
     n_atoms: int = 1
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidInput(f"{name} must be finite, got {value}")
         for name in ("omega_a_tilde", "omega_b_tilde", "omega_c_tilde",
                      "gamma_10", "gamma_20", "gamma_30", "gamma_40"):
             if getattr(self, name) < 0:
@@ -92,6 +96,27 @@ class ResponseW10:
         return self.value.imag
 
 
+def _w10_terms(params: SystemParams, omega_b, omega_c):
+    """Numerator, denominator and degeneracy flag of W10.
+
+    omega_b and omega_c are the effective drive and signal amplitudes; they
+    may be Python scalars or numpy arrays (one entry per Fock component).
+    Plain operators and builtin abs keep scalars free of numpy overhead.  The
+    flag is set where the denominator is at most EPS_DEN times the scale of
+    its terms, which includes an exactly vanishing scale.
+    """
+    d3 = params.nu_a - params.nu_b
+    d4 = d3 + params.nu_c
+    a3 = d3 + 1j * params.gamma_30
+    a4 = d4 + 1j * params.gamma_40
+    bracket = a3 * a4 - omega_c ** 2
+    num = -bracket * params.omega_a ** 2
+    a2_bracket = (params.nu_a + 1j * params.gamma_20) * bracket
+    den = a2_bracket - a4 * omega_b ** 2
+    scale = abs(a2_bracket) + abs(a4) * omega_b ** 2
+    return num, den, abs(den) <= EPS_DEN * scale
+
+
 def w10(params: SystemParams) -> ResponseW10:
     """Evaluate the complex weak-probe response of the four-level chain.
 
@@ -102,20 +127,13 @@ def w10(params: SystemParams) -> ResponseW10:
     Raises
     ------
     DegenerateDenominator
-        If the response denominator is smaller than EPS_DEN times the scale
-        of its terms (an exactly singular or unphysical parameter point).
+        If the response denominator is at most EPS_DEN times the scale of
+        its terms (an exactly singular or unphysical parameter point).
     """
-    d3 = params.nu_a - params.nu_b
-    d4 = d3 + params.nu_c
-    a3 = d3 + 1j * params.gamma_30
-    a4 = d4 + 1j * params.gamma_40
-    bracket = a3 * a4 - params.omega_c ** 2
-    num = -bracket * params.omega_a ** 2
-    den = (params.nu_a + 1j * params.gamma_20) * bracket - a4 * params.omega_b ** 2
-    scale = abs((params.nu_a + 1j * params.gamma_20) * bracket) + abs(a4) * params.omega_b ** 2
-    if abs(den) < EPS_DEN * scale or scale == 0.0:
+    num, den, degenerate = _w10_terms(params, params.omega_b, params.omega_c)
+    if degenerate:
         raise DegenerateDenominator(
-            f"w10: |denominator|={abs(den):.3e} below {EPS_DEN:.0e} x scale={scale:.3e}")
+            f"w10: |denominator|={abs(den):.3e} at or below {EPS_DEN:.0e} x its scale")
     return ResponseW10(value=complex(num / den))
 
 

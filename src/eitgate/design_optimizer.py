@@ -55,6 +55,11 @@ class OptimizationConstraints:
     alpha_c_over_alpha_b: float = 10.0
 
     def __post_init__(self):
+        numbers = (self.omega_a_over_gamma_20, self.omega_b_sq_over_omega_c_sq,
+                   self.suppression, *self.alpha_b_range, *(self.nu_c_range or ()),
+                   self.phi, self.alpha_c_over_alpha_b)
+        if not all(math.isfinite(v) for v in numbers):
+            raise InvalidInput(f"constraint values must be finite, got {self}")
         if self.suppression <= 0:
             raise InvalidInput(f"suppression must be > 0, got {self.suppression}")
         if self.omega_a_over_gamma_20 <= 0 or self.omega_b_sq_over_omega_c_sq <= 0:
@@ -443,8 +448,15 @@ def sweep_to_csv(rows: list[SweepRow], fh) -> None:
         fh.write(",".join(_format_cell(getattr(row, c)) for c in SWEEP_COLUMNS) + "\n")
 
 
+def _json_cell(value):
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def sweep_to_json(rows: list[SweepRow], fh) -> None:
-    """Write rows as a JSON array with the same field names as the CSV."""
-    payload = [{c: getattr(row, c) for c in SWEEP_COLUMNS} for row in rows]
-    json.dump(payload, fh, indent=2)
+    """Write rows as a strict JSON array with the same field names as the CSV.
+
+    The NaN fields of a failed row are written as null.
+    """
+    payload = [{c: _json_cell(getattr(row, c)) for c in SWEEP_COLUMNS} for row in rows]
+    json.dump(payload, fh, indent=2, allow_nan=False)
     fh.write("\n")

@@ -25,10 +25,6 @@ class InvalidInput(GateModelError):
     """An argument is outside its documented domain."""
 
 
-class TruncationNotConverged(GateModelError):
-    """Poisson tail mass beyond the truncation order exceeds the tolerance."""
-
-
 class NoConvergence(GateModelError):
     """A search range was exhausted without bracketing an optimum."""
 

@@ -80,11 +80,6 @@ def chain_matrix(params: SystemParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def chain_rhs(params: SystemParams, v: CoherenceVector) -> CoherenceVector:
-    """Time derivative of the coherence chain at v."""
-    return CoherenceVector.from_array(chain_matrix(params) @ v.as_array())
-
-
 def steady_chain_rate(params: SystemParams) -> complex:
     """Decay exponent of rho_10 with the fast coherences slaved, by linear solve.
 
@@ -170,17 +165,3 @@ def verify_qss(params: SystemParams, t_final: float,
         final_magnitude_ratio=float(np.abs(traj.rho_10[-1]) / np.abs(qss[-1])),
         regime_flag="in" if params.omega_a <= params.gamma_20 else "out",
     )
-
-
-def export_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write the sampled trajectory as CSV: t, Re/Im of each coherence."""
-    names = ["rho_10", "rho_20", "rho_30", "rho_40"]
-    header = "t," + ",".join(f"re_{n},im_{n}" for n in names)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(traj.times, traj.states):
-            cells = [f"{t:.16e}"]
-            for c in row:
-                cells.append(f"{c.real:.16e}")
-                cells.append(f"{c.imag:.16e}")
-            fh.write(",".join(cells) + "\n")

@@ -173,6 +173,24 @@ class TestMainEntry:
         assert main(["sweep", "--config", str(cfg),
                      "--out", "/nonexistent/dir/rows.csv"]) == 2
 
+    def test_non_finite_flag_exits_2(self, capsys):
+        assert main(["design", "--gamma10", "nan"]) == 2
+        assert "--gamma10 must be finite" in capsys.readouterr().err
+        assert main(["design", "--delta", "inf"]) == 2
+        assert main(["design", "--delta", "0.2", "--suppression", "nan"]) == 2
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        # Python's json accepts NaN and Infinity; the config parser must not
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"system": {"gamma_10": NaN}}')
+        assert main(["eval", "--config", str(cfg)]) == 2
+        assert "system.gamma_10" in capsys.readouterr().err
+        for doc in ('{"constraints": {"alpha_b_range": [1, Infinity]}}',
+                    '{"sweep": {"values": [0.1, NaN]}}',
+                    '{"eval": {"n_b": Infinity}}'):
+            cfg.write_text(doc)
+            assert main(["eval", "--config", str(cfg)]) == 2
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"system": {"nu_z": 1.0}}))

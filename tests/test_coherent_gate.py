@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from eitgate import (GateDesign, InvalidInput, NotAttainable,
-                     RegimeWarning, SystemParams, TruncationNotConverged,
-                     design_point, gate_error, ideal_overlap, kerr_phase_state,
-                     min_alpha_b, one_qubit_error, per_component_response,
-                     spread_error, truncation_bound, w10)
-from eitgate.coherent_gate import ONE_QUBIT, _one_qubit_budget, _two_qubit_budget
+from eitgate import (DegenerateDenominator, GateDesign, InvalidInput, NotAttainable,
+                     RegimeWarning, SystemParams, design_point, gate_error, min_alpha_b,
+                     one_qubit_error, w10)
+from eitgate.coherent_gate import (EPS_TRUNC, ONE_QUBIT, _one_qubit_budget,
+                                   _poisson_window, _response_grid, _two_qubit_budget)
 from conftest import w10_continued_fraction
 
 PI = math.pi
@@ -31,88 +30,105 @@ def lossless(**kwargs):
     return params(**base)
 
 
+def poisson_pmf(n, mu):
+    """Poisson weight from lgamma, independent of scipy."""
+    return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)) if mu > 0 else float(n == 0)
+
+
+def component_response(p, n_b, time_norm):
+    """Phase and damping of Fock component n_b of the drive, via scalar w10."""
+    w = w10(replace(p, omega_b_tilde=p.omega_b_tilde * math.sqrt(n_b))).value
+    nt = time_norm / p.omega_a
+    return -w.real * nt, (p.gamma_10 + w.imag) * nt
+
+
 class TestTruncationBound:
+    """The Poisson window that truncates every Fock sum."""
+
     def test_vacuum(self):
-        assert truncation_bound(0.0, 1e-12) == 0
+        n, weights, missing = _poisson_window(0.0)
+        assert n.tolist() == [0] and weights.tolist() == [1.0] and missing == 0.0
 
     def test_cumulative_sum_oracle(self):
-        # brute-force: accumulate pmf terms until the remainder drops below eps
-        alpha, eps = 2.0, 1e-12
-        mu = alpha ** 2
-        total = 0.0
-        n = 0
-        while True:
-            total += math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-            if 1.0 - total <= eps:
-                break
-            n += 1
-        assert truncation_bound(alpha, eps) == n
+        # brute force: the mass below and above the window, summed term by
+        # term from lgamma weights, is what the window reports as missing
+        for mu in (0.5, 4.0, 9.0, 144.0, 22500.0):
+            n, weights, missing = _poisson_window(mu)
+            lo, hi = int(n[0]), int(n[-1])
+            assert np.array_equal(n, np.arange(lo, hi + 1))
+            below = math.fsum(poisson_pmf(k, mu) for k in range(lo))
+            above = math.fsum(poisson_pmf(k, mu) for k in range(hi + 1, hi + 2000))
+            assert missing == pytest.approx(below + above, rel=1e-6, abs=1e-300)
+            assert above <= EPS_TRUNC / 2 and below <= EPS_TRUNC / 2
+            assert np.allclose(weights, [poisson_pmf(k, mu) for k in n], rtol=1e-9, atol=0)
 
     def test_monotonicity(self):
-        assert truncation_bound(4.0, 1e-10) >= truncation_bound(2.0, 1e-10)
-        assert truncation_bound(2.0, 1e-14) >= truncation_bound(2.0, 1e-8)
+        widths = [len(_poisson_window(mu)[0]) for mu in (0.0, 1.0, 4.0, 16.0, 100.0, 1e4)]
+        assert widths == sorted(widths)
+        assert widths[-1] > widths[-2]
 
     def test_definition(self):
-        n = truncation_bound(3.0, 1e-9)
-        assert poisson.sf(n, 9.0) <= 1e-9
-        assert poisson.sf(n - 1, 9.0) > 1e-9
-
-    def test_invalid(self):
-        with pytest.raises(InvalidInput):
-            truncation_bound(-1.0, 1e-9)
-        with pytest.raises(InvalidInput):
-            truncation_bound(1.0, 2.0)
+        # missing mass within the tolerance, and captured + missing = 1
+        for mu in (1.0, 9.0, 144.0, 384.16, 784.0, 79524.0):
+            n, weights, missing = _poisson_window(mu)
+            assert missing <= EPS_TRUNC
+            expected = poisson.sf(n[-1], mu) + (poisson.cdf(n[0] - 1, mu) if n[0] > 0 else 0.0)
+            assert missing == expected
+            # scipy's pmf bulk carries a relative rounding of order mu * eps_machine
+            tol = 1e-12 + 10 * mu * np.finfo(float).eps
+            assert math.fsum(weights) + missing == pytest.approx(1.0, abs=tol)
 
 
 class TestKerrPhaseState:
+    """The idealized Kerr limit, reached on the Fock sum with every loss off.
+
+    Component n >= 1 then acquires the Kerr phase phi mu / n and the vacuum
+    component none.
+    """
+
     def test_normalization(self):
-        state = kerr_phase_state(3.0, PI)
-        norm = np.sum(np.abs(state.amplitudes) ** 2) + state.tail_mass
-        assert norm == pytest.approx(1.0, abs=1e-12)
+        n, weights, missing = _poisson_window(9.0)
+        assert math.fsum(weights) + missing == pytest.approx(1.0, abs=1e-12)
 
     def test_no_phase_without_either_photon(self):
+        # the cross-Kerr phase needs both the probe and the signal photon
         for n_a, n_c in ((0, 1), (1, 0)):
-            state = kerr_phase_state(2.0, PI, n_a=n_a, n_c=n_c)
-            coherent = np.sqrt(poisson.pmf(np.arange(state.n_max + 1), 4.0))
-            assert np.allclose(state.amplitudes, coherent, atol=1e-15)
-            assert np.all(state.amplitudes.imag == 0.0)
+            p = lossless(n_a=n_a, n_c=n_c)
+            grid = _response_grid(p, np.sqrt(np.arange(50.0)), p.omega_c)
+            assert np.all(grid == 0.0)
 
     def test_large_amplitude_overlap(self):
-        # overlap approaches 1 as only components near the mean contribute
-        assert abs(ideal_overlap(kerr_phase_state(50.0, PI), PI)) ** 2 > 0.99
-        assert abs(ideal_overlap(kerr_phase_state(120.0, PI), PI)) ** 2 > 0.999
-
-    def test_spread_error_brute_force(self):
-        # independent truncated resummation of the overlap
-        alpha, phi = 2.0, PI
-        mu = alpha ** 2
-        overlap = 0.0j
-        for n in range(0, 80):
-            weight = math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
-            phase = phi * mu / n if n >= 1 else 0.0
-            overlap += weight * np.exp(-1j * phase)
-        expected = 1.0 - abs(overlap) ** 2
-        state = kerr_phase_state(alpha, phi, eps=1e-12)
-        assert spread_error(state, phi) == pytest.approx(expected, abs=1e-10)
+        # the error vanishes as only components near the mean contribute
+        p = lossless()
+        assert gate_error(p, design_point(p, 125.0, 50.0, PI)).delta_total < 0.01
+        assert gate_error(p, design_point(p, 125.0, 120.0, PI)).delta_total < 0.001
 
     def test_vacuum_component_has_zero_phase(self):
-        state = kerr_phase_state(1.0, PI)
-        assert state.amplitudes[0].imag == 0.0
-        assert state.amplitudes[0].real > 0.0
+        # lossless and undriven, w10 is singular; the Fock sum gives W10 = 0
+        p = lossless()
+        with pytest.raises(DegenerateDenominator):
+            w10(replace(p, omega_b_tilde=0.0))
+        grid = _response_grid(p, np.sqrt(np.arange(3.0)), p.omega_c)
+        assert grid[0] == 0.0
+        assert grid[1] == w10(replace(p, omega_b_tilde=1.0)).value
 
 
 class TestPerComponentResponse:
+    """Phase and damping of single Fock components of the drive."""
+
     def test_mean_component_phase_is_target(self):
         p = params()
         design = design_point(p, 125.0, 10.0, PI)
-        phase, damping = per_component_response(p, 100, design.time_norm)
+        phase, damping = component_response(p, 100, design.time_norm)
         assert phase == pytest.approx(PI, rel=1e-12)
         assert damping > 0
 
     def test_vacuum_component_is_regular(self):
         p = params()
         design = design_point(p, 125.0, 10.0, PI)
-        phase, damping = per_component_response(p, 0, design.time_norm)
+        assert _response_grid(p, np.array([0.0]), p.omega_c)[0] == \
+            w10(replace(p, omega_b_tilde=0.0)).value
+        phase, damping = component_response(p, 0, design.time_norm)
         assert math.isfinite(phase) and math.isfinite(damping)
         # with no drive the medium is a bare absorber: huge damping, no phase
         assert phase == 0.0
@@ -125,14 +141,13 @@ class TestPerComponentResponse:
         w = w10_continued_fraction(
             replace(p, omega_b_tilde=math.sqrt(n_b)))
         nt = design.time_norm / p.omega_a
-        phase, damping = per_component_response(p, n_b, design.time_norm)
+        phase, damping = component_response(p, n_b, design.time_norm)
         assert phase == pytest.approx(-w.real * nt, rel=1e-10)
         assert damping == pytest.approx((p.gamma_10 + w.imag) * nt, rel=1e-10)
 
     def test_vector_path_bit_equal_to_scalar(self):
         # the Fock-sum evaluation must agree with w10 exactly, component by
         # component, so CLI numbers match library calls bit for bit
-        from eitgate.coherent_gate import _response_grid
         p = params()
         n = np.arange(0, 300)
         grid = _response_grid(p, p.omega_b_tilde * np.sqrt(n), p.omega_c)
@@ -173,14 +188,8 @@ class TestGateError:
         # all weight on one Fock component: delta reduces to 1 - e^{-2 tau}
         p = params(gamma_10=1e-3)
         design = design_point(p, 125.0, 10.0, PI)
-        _, damping = per_component_response(p, 100, design.time_norm)
-        budget, _ = _two_qubit_budget(p, 125.0, 10.0, PI, n_max=3000)
-        # reconstruct with the spread switched off by hand
-        n = np.arange(0, 3001)
-        weights = poisson.pmf(n, 100.0)
-        taus = []
-        for k in (99, 100, 101):
-            taus.append(per_component_response(p, k, design.time_norm)[1])
+        _, damping = component_response(p, 100, design.time_norm)
+        budget, _ = _two_qubit_budget(p, 125.0, 10.0, PI)
         # dampings vary slowly across the bulk of the distribution, so the
         # decoherence component tracks 1 - e^{-2 tau(mean)} closely
         assert budget.delta_decoherence == pytest.approx(
@@ -201,12 +210,6 @@ class TestGateError:
         assert budget.delta_total >= max(budget.delta_decoherence,
                                          budget.delta_coherent_spread) - 1e-9
 
-    def test_truncation_error_path(self):
-        p = params()
-        design = design_point(p, 125.0, 10.0, PI)
-        with pytest.raises(TruncationNotConverged):
-            gate_error(p, design, n_max=50)
-
     def test_spread_scaling(self):
         p = lossless()
         values = {}
@@ -217,15 +220,21 @@ class TestGateError:
         assert band < 1.10
 
     def test_limit_consistency_with_kerr_state(self):
-        # with every damping channel off the per-component phases are exactly
-        # the Kerr phases, so the two spread computations must coincide
+        # with every damping channel off each component n >= 1 picks up the
+        # Kerr phase phi mu / n and the vacuum none, so the gate error is the
+        # spread of that Kerr state, resummed here term by term
         p = lossless()
-        for alpha in (3.0, 10.0):
-            design = design_point(p, 125.0, alpha, PI)
-            budget = gate_error(p, design)
-            state = kerr_phase_state(alpha, PI, eps=1e-10)
+        for alpha in (2.0, 3.0, 10.0):
+            mu = alpha ** 2
+            overlap = math.fsum(poisson_pmf(n, mu) * math.cos(PI * mu / n if n else 0.0)
+                                for n in range(400)) + 1j * math.fsum(
+                -poisson_pmf(n, mu) * math.sin(PI * mu / n if n else 0.0)
+                for n in range(400))
+            budget = gate_error(p, design_point(p, 125.0, alpha, PI))
+            assert budget.delta_decoherence == 0.0
+            assert budget.delta_coherent_spread == pytest.approx(budget.delta_total, abs=1e-12)
             assert budget.delta_total == pytest.approx(
-                spread_error(state, PI), rel=1e-6, abs=1e-12)
+                1.0 - abs(overlap) ** 2, rel=1e-9, abs=4 * EPS_TRUNC)
 
     def test_wrong_mode_rejected(self):
         p = params()

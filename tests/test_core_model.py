@@ -178,6 +178,12 @@ class TestValidation:
                          gamma_10=0, gamma_20=1, gamma_30=0, gamma_40=1,
                          n_atoms=0)
 
+    def test_non_finite_rejected(self):
+        for field in ("gamma_10", "nu_c", "omega_b_tilde"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidInput, match=field):
+                    params(**{field: bad})
+
     def test_metastability_warning(self):
         with pytest.warns(RegimeWarning):
             params(gamma_30=5.0, gamma_20=1.0)

@@ -29,6 +29,13 @@ class TestConstraints:
         with pytest.raises(InvalidInput):
             OptimizationConstraints(alpha_b_range=(5.0, 2.0))
 
+    def test_non_finite_rejected(self):
+        for bad in ({"suppression": math.nan}, {"phi": math.inf},
+                    {"alpha_b_range": (1.0, math.inf)}, {"nu_c_range": (math.nan, 1.0)},
+                    {"alpha_c_over_alpha_b": math.nan}):
+            with pytest.raises(InvalidInput):
+                OptimizationConstraints(**bad)
+
     def test_base_params(self):
         cs = OptimizationConstraints(suppression=1e-3, omega_a_over_gamma_20=2.0)
         p = base_params(cs, 1e-5)
@@ -120,6 +127,23 @@ class TestSweep:
         rows = sweep(spec, [OptimizationConstraints(alpha_b_range=(1.0, 10.0))])
         assert rows[0].status == "NotAttainable"
         assert math.isnan(rows[0].delta_total)
+
+    def test_failed_rows_strict_json(self):
+        # the failed row's NaN fields are written as null, not bare NaN
+        import json
+        spec = SweepSpec(quantity="delta_target", values=(0.001,))
+        rows = sweep(spec, [OptimizationConstraints(alpha_b_range=(1.0, 10.0))])
+        buf = io.StringIO()
+        sweep_to_json(rows, buf)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(buf.getvalue(), parse_constant=reject)
+        assert payload[0]["status"] == "NotAttainable"
+        assert payload[0]["delta_total"] is None
+        assert payload[0]["gamma_10_over_omega_a"] is None
+        assert payload[0]["suppression"] == 1.0
 
     def test_forward_grid_monotone(self):
         gammas = tuple(np.geomspace(1e-7, 1e-4, 6))

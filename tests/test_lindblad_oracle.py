@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from eitgate import (CoherenceVector, InvalidInput, StepSizeUnderflow,
-                     SystemParams, chain_rhs, export_trajectory_csv, integrate,
-                     steady_chain_rate, verify_qss, w10)
+                     SystemParams, integrate, steady_chain_rate, verify_qss, w10)
 from eitgate.lindblad_oracle import chain_matrix
 from conftest import random_physical_params
 
@@ -25,10 +24,9 @@ def gate_duration(p, phi=math.pi):
 class TestChainRhs:
     def test_decoupled_decay(self):
         p = params(omega_a_tilde=0.0, gamma_10=0.25)
-        v = CoherenceVector(rho_10=0.5)
-        dv = chain_rhs(p, v)
-        assert dv.rho_10 == -0.25 * 0.5
-        assert dv.rho_20 == dv.rho_30 == dv.rho_40 == 0.0
+        dv = chain_matrix(p) @ CoherenceVector(rho_10=0.5).as_array()
+        assert dv[0] == -0.25 * 0.5
+        assert dv[1] == dv[2] == dv[3] == 0.0
 
     def test_two_level_norm_conservation(self):
         # no damping, no drive beyond the probe: Rabi oscillation between
@@ -133,27 +131,3 @@ class TestVerifyQss:
         mags = np.abs(traj.rho_10[traj.times > 10.0 / p.gamma_20])
         drops = np.diff(mags)
         assert np.all(drops <= 1e-10)
-
-
-class TestTrajectoryExport:
-    def test_csv_round_trip(self, tmp_path):
-        p = params()
-        traj = integrate(p, CoherenceVector(rho_10=0.5), 5.0,
-                         t_eval=np.linspace(0, 5, 11))
-        path = tmp_path / "traj.csv"
-        export_trajectory_csv(traj, path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert len(data) == 11
-        assert np.allclose(data["re_rho_10"], traj.rho_10.real, rtol=0, atol=0)
-        assert np.allclose(data["im_rho_20"], traj.states[:, 1].imag, rtol=0, atol=0)
-
-
-class TestChainMatrix:
-    def test_matches_rhs(self, rng):
-        for _ in range(50):
-            p = random_physical_params(rng)
-            v = CoherenceVector(rho_10=0.3 + 0.1j, rho_20=0.1j,
-                                rho_30=-0.2, rho_40=0.05 - 0.4j)
-            dv = chain_rhs(p, v)
-            assert np.allclose(dv.as_array(), chain_matrix(p) @ v.as_array(),
-                               rtol=0, atol=0)
