@@ -35,6 +35,14 @@ def poisson_pmf(n, mu):
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)) if mu > 0 else float(n == 0)
 
 
+def kerr_overlap(mu, phi, n_terms):
+    """<coherent|Kerr state>: component n >= 1 carries phi mu / n, the vacuum none."""
+    weights = [poisson_pmf(n, mu) for n in range(n_terms)]
+    phases = [phi * mu / n if n >= 1 else 0.0 for n in range(n_terms)]
+    return complex(math.fsum(w * math.cos(f) for w, f in zip(weights, phases)),
+                   -math.fsum(w * math.sin(f) for w, f in zip(weights, phases)))
+
+
 def component_response(p, n_b, time_norm):
     """Phase and damping of Fock component n_b of the drive, via scalar w10."""
     w = w10(replace(p, omega_b_tilde=p.omega_b_tilde * math.sqrt(n_b))).value
@@ -102,6 +110,15 @@ class TestKerrPhaseState:
         p = lossless()
         assert gate_error(p, design_point(p, 125.0, 50.0, PI)).delta_total < 0.01
         assert gate_error(p, design_point(p, 125.0, 120.0, PI)).delta_total < 0.001
+
+    def test_spread_error_brute_force(self):
+        # independent truncated resummation of the overlap against the
+        # lossless Fock sum
+        alpha, phi = 2.0, PI
+        p = lossless()
+        expected = 1.0 - abs(kerr_overlap(alpha ** 2, phi, 80)) ** 2
+        budget = gate_error(p, design_point(p, 125.0, alpha, phi))
+        assert budget.delta_total == pytest.approx(expected, abs=1e-10)
 
     def test_vacuum_component_has_zero_phase(self):
         # lossless and undriven, w10 is singular; the Fock sum gives W10 = 0
@@ -224,12 +241,8 @@ class TestGateError:
         # Kerr phase phi mu / n and the vacuum none, so the gate error is the
         # spread of that Kerr state, resummed here term by term
         p = lossless()
-        for alpha in (2.0, 3.0, 10.0):
-            mu = alpha ** 2
-            overlap = math.fsum(poisson_pmf(n, mu) * math.cos(PI * mu / n if n else 0.0)
-                                for n in range(400)) + 1j * math.fsum(
-                -poisson_pmf(n, mu) * math.sin(PI * mu / n if n else 0.0)
-                for n in range(400))
+        for alpha in (3.0, 10.0):
+            overlap = kerr_overlap(alpha ** 2, PI, 400)
             budget = gate_error(p, design_point(p, 125.0, alpha, PI))
             assert budget.delta_decoherence == 0.0
             assert budget.delta_coherent_spread == pytest.approx(budget.delta_total, abs=1e-12)
