@@ -5,11 +5,11 @@ from .analytic_design import (AuxiliaryFactors, PhaseTarget, asymptotic_design,
                               gate_time, optimal_detuning, tau_eff,
                               tau_eff_at_optimum)
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
-                            design_point, gate_error, min_alpha_b, one_qubit_error)
+                            design_point, gate_error, min_alpha_b)
 from .core_model import (ResponseW10, SystemParams, kerr_approximation, rho10_at,
                          w10)
 from .design_optimizer import (OptimizationConstraints, SweepRow, SweepSpec,
-                               base_params, design_budget, max_dephasing,
+                               base_params, max_dephasing,
                                optimize_design, sweep, sweep_to_csv, sweep_to_json)
 from .errors import (ConfigError, DegenerateDenominator, DegenerateParams,
                      DivisionByZero, GateModelError, InvalidInput,

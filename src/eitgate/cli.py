@@ -24,9 +24,8 @@ from .analytic_design import (PhaseTarget, asymptotic_design, decoherence_error,
                               tau_eff)
 from .coherent_gate import ONE_QUBIT, TWO_QUBIT
 from .core_model import SystemParams, kerr_approximation, w10
-from .design_optimizer import (OptimizationConstraints, SweepSpec, design_budget,
-                               max_dephasing, optimize_design, sweep, sweep_to_csv,
-                               sweep_to_json)
+from .design_optimizer import (OptimizationConstraints, SweepSpec, max_dephasing,
+                               optimize_design, sweep, sweep_to_csv, sweep_to_json)
 from .errors import ConfigError, GateModelError
 from .lindblad_oracle import verify_qss
 
@@ -334,11 +333,15 @@ def cmd_design(config: RunConfig) -> dict:
     if (opts.delta_target is None) == (opts.gamma_10 is None):
         raise ConfigError("design needs exactly one of 'delta_target' or 'gamma_10'")
     if opts.gamma_10 is not None:
+        if opts.gamma_10 <= 0:
+            raise ConfigError(f"design 'gamma_10' must be > 0, got {opts.gamma_10}")
         gamma = opts.gamma_10
         design, budget = optimize_design(gamma, cs)
     else:
-        gamma, design = max_dephasing(opts.delta_target, cs)
-        budget = design_budget(gamma, design, cs)
+        if not 0.0 < opts.delta_target < 0.5:
+            raise ConfigError(f"design 'delta_target' must be in (0, 0.5), "
+                              f"got {opts.delta_target}")
+        gamma, design, budget = max_dephasing(opts.delta_target, cs)
     return {
         "gamma_10_over_omega_a": gamma,
         "delta_total": budget.delta_total,

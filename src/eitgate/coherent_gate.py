@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import poisson
 
-from .analytic_design import PhaseTarget, gate_time, optimal_detuning
+from .analytic_design import PhaseTarget, gate_time
 from .core_model import SystemParams, _w10_terms
 from .errors import InvalidInput, NotAttainable, RegimeWarning
 
@@ -34,14 +34,18 @@ ONE_QUBIT = "one-qubit"
 
 @dataclass(frozen=True)
 class GateDesign:
-    """An operating point: detuning, drive amplitude, phase and duration."""
+    """An operating point: detuning, drive amplitudes, phase and duration.
+
+    alpha_c > 0 makes it a one-qubit design (modes b and c coherent); None
+    makes it a two-qubit design (mode c holds the Fock state n_c).
+    """
 
     nu_c: float
     alpha_b: float
     phi: float
     time_norm: float          # |Omega_a| N t
     suppression: float        # gamma_40 / gamma_20 at this point
-    mode: str = TWO_QUBIT
+    alpha_c: float | None = None
 
     def __post_init__(self):
         if self.alpha_b < 0:
@@ -52,8 +56,16 @@ class GateDesign:
             raise InvalidInput(f"time_norm must be >= 0, got {self.time_norm}")
         if self.suppression <= 0:
             raise InvalidInput(f"suppression must be > 0, got {self.suppression}")
-        if self.mode not in (TWO_QUBIT, ONE_QUBIT):
-            raise InvalidInput(f"mode must be '{TWO_QUBIT}' or '{ONE_QUBIT}'")
+        _check_alpha_c(self.alpha_c)
+
+    @property
+    def mode(self) -> str:
+        return TWO_QUBIT if self.alpha_c is None else ONE_QUBIT
+
+
+def _check_alpha_c(alpha_c: float | None) -> None:
+    if alpha_c is not None and not alpha_c > 0:
+        raise InvalidInput(f"alpha_c must be > 0, got {alpha_c}")
 
 
 @dataclass(frozen=True)
@@ -150,51 +162,40 @@ def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBu
     )
 
 
-def _two_qubit_budget(params: SystemParams, nu_c: float, alpha_b: float,
-                      phi: float) -> tuple[ErrorBudget, float]:
-    """Error budget and time_norm at a two-qubit operating point.
+def _two_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
+    """Error budget at a two-qubit design.
 
-    params carries per-photon amplitudes; the interaction time is calibrated
-    so the mean drive component acquires exactly phi.  Mode c holds the
-    single Fock component n_c.
+    The interaction time is the design's, calibrated by design_point; mode c
+    holds the single Fock component n_c.
     """
-    wp = replace(params, nu_c=nu_c)
-    mean = replace(wp, omega_b_tilde=params.omega_b_tilde * alpha_b)
-    time_norm = gate_time(mean, PhaseTarget(phi))
-    nb, pb, _ = _poisson_window(alpha_b ** 2)
-    budget = _fock_sum(wp, time_norm, nb, pb, np.array([params.n_c]), np.array([1.0]))
-    return budget, time_norm
+    nb, pb, _ = _poisson_window(design.alpha_b ** 2)
+    return _fock_sum(replace(params, nu_c=design.nu_c), design.time_norm, nb, pb,
+                     np.array([params.n_c]), np.array([1.0]))
 
 
-def _one_qubit_budget(params: SystemParams, nu_c: float, alpha_b: float,
-                      alpha_c: float, phi: float) -> tuple[ErrorBudget, float]:
-    """Error budget and time_norm for coherent drives in both modes b and c.
+def _one_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
+    """Error budget for coherent drives in both modes b and c.
 
-    The interaction time is calibrated so the mean (alpha_b, alpha_c)
-    component acquires exactly phi; the Fock sum runs over the product of
-    the two modes' Poisson windows.
+    The interaction time is the design's, calibrated by design_point; the
+    Fock sum runs over the product of the two modes' Poisson windows.
     """
-    wp = replace(params, nu_c=nu_c, n_c=1)
-    mean = replace(wp, omega_b_tilde=params.omega_b_tilde * alpha_b,
-                   omega_c_tilde=params.omega_c_tilde * alpha_c)
-    time_norm = gate_time(mean, PhaseTarget(phi))
-    nb, pb, _ = _poisson_window(alpha_b ** 2)
-    nc, pc, _ = _poisson_window(alpha_c ** 2)
-    return _fock_sum(wp, time_norm, nb, pb, nc, pc), time_norm
+    nb, pb, _ = _poisson_window(design.alpha_b ** 2)
+    nc, pc, _ = _poisson_window(design.alpha_c ** 2)
+    return _fock_sum(replace(params, nu_c=design.nu_c, n_c=1), design.time_norm,
+                     nb, pb, nc, pc)
 
 
 def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
-                 mode: str = TWO_QUBIT, alpha_c: float | None = None) -> GateDesign:
+                 alpha_c: float | None = None) -> GateDesign:
     """Build a GateDesign with its interaction time calibrated to phi.
 
-    The time is fixed so the mean Fock component of each coherent mode
-    acquires exactly the target phase.
+    params carries per-photon amplitudes.  The time is fixed so the mean
+    Fock component of each coherent mode acquires exactly the target phase;
+    alpha_c > 0 makes mode c coherent too (one-qubit gate).
     """
-    wp = replace(params, nu_c=nu_c)
-    mean = replace(wp, omega_b_tilde=params.omega_b_tilde * alpha_b)
-    if mode == ONE_QUBIT:
-        if alpha_c is None or alpha_c <= 0:
-            raise InvalidInput("one-qubit design needs alpha_c > 0")
+    _check_alpha_c(alpha_c)
+    mean = replace(params, nu_c=nu_c, omega_b_tilde=params.omega_b_tilde * alpha_b)
+    if alpha_c is not None:
         mean = replace(mean, omega_c_tilde=params.omega_c_tilde * alpha_c, n_c=1)
     tn = gate_time(mean, PhaseTarget(phi))
     if params.gamma_20 > 0:
@@ -204,12 +205,12 @@ def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
     else:
         raise InvalidInput("gamma_40 > 0 with gamma_20 = 0 has no suppression ratio")
     return GateDesign(nu_c=nu_c, alpha_b=alpha_b, phi=phi, time_norm=tn,
-                      suppression=sup, mode=mode)
+                      suppression=sup, alpha_c=alpha_c)
 
 
-def _check_design(params: SystemParams, design: GateDesign, alpha_c=None):
+def _check_design(params: SystemParams, design: GateDesign):
     expected = design_point(params, design.nu_c, design.alpha_b, design.phi,
-                            mode=design.mode, alpha_c=alpha_c)
+                            alpha_c=design.alpha_c)
     scale = max(abs(expected.time_norm), 1e-300)
     if abs(expected.time_norm - design.time_norm) > 1e-9 * scale:
         raise InvalidInput(
@@ -222,66 +223,41 @@ def _check_design(params: SystemParams, design: GateDesign, alpha_c=None):
 
 
 def gate_error(params: SystemParams, design: GateDesign) -> ErrorBudget:
-    """Error budget of the two-qubit gate at a design point.
+    """Error budget of the phase gate at a design point.
 
     The dual-rail coherence after the gate is rho_10(0) times
     sum_n P(n) exp(-i phi_n - tau_n); the budget is built from the modulus
     of that sum (delta_total = 1 - F^2) with the spread and decoherence
-    components obtained by switching off the other mechanism.
+    components obtained by switching off the other mechanism.  A one-qubit
+    design sums over the Fock content of both coherent modes b and c; it
+    requires |alpha_c| >> |alpha_b| and warns below a ratio of 10.
     """
-    if design.mode != TWO_QUBIT:
-        raise InvalidInput("gate_error handles two-qubit designs; "
-                           "use one_qubit_error for the one-qubit variant")
     _check_design(params, design)
-    budget, _ = _two_qubit_budget(params, design.nu_c, design.alpha_b, design.phi)
-    return budget
-
-
-def one_qubit_error(params: SystemParams, design: GateDesign, alpha_c: float) -> ErrorBudget:
-    """Error budget of the one-qubit phase gate (modes b and c coherent).
-
-    Poisson-weighted double sum over (n_b, n_c) with the exact response at
-    (|Omega~_b| sqrt(n_b), |Omega~_c| sqrt(n_c)).  Requires |alpha_c| >>
-    |alpha_b|; warns below a ratio of 10.
-    """
-    if design.mode != ONE_QUBIT:
-        raise InvalidInput("one_qubit_error requires a one-qubit design")
-    if alpha_c <= 0:
-        raise InvalidInput(f"alpha_c must be > 0, got {alpha_c}")
-    if alpha_c < 10.0 * design.alpha_b:
+    if design.mode == TWO_QUBIT:
+        return _two_qubit_budget(params, design)
+    if design.alpha_c < 10.0 * design.alpha_b:
         warnings.warn("one-qubit gate assumes |alpha_c| >> |alpha_b|; "
-                      f"ratio is only {alpha_c / max(design.alpha_b, 1e-300):.2f}",
+                      f"ratio is only {design.alpha_c / max(design.alpha_b, 1e-300):.2f}",
                       RegimeWarning, stacklevel=2)
-    _check_design(params, design, alpha_c=alpha_c)
-    budget, _ = _one_qubit_budget(params, design.nu_c, design.alpha_b,
-                                  alpha_c, design.phi)
-    return budget
+    return _one_qubit_budget(params, design)
 
 
-def min_alpha_b(params: SystemParams, phi: float, delta_target: float,
-                alpha_c_ratio: float = 10.0, nu_c: float | None = None,
-                alpha_max: float = 400.0, tol: float = 0.02) -> float:
+def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: float,
+                alpha_c_ratio: float = 10.0, alpha_max: float = 400.0,
+                tol: float = 0.02) -> float:
     """Smallest drive amplitude whose spread-only one-qubit error <= target.
 
-    The detuning defaults to the closed-form optimum at the mean drive
-    configuration; alpha_c tracks alpha_b at the given ratio.  The bracket is
-    seeded from the Gaussian estimate spread ~ phi^2 (1/alpha_b^2 + 1/alpha_c^2)
-    and grown geometrically, so large amplitudes are only evaluated if needed.
+    The detuning is held at nu_c; alpha_c tracks alpha_b at the given ratio.
+    The bracket is seeded from the Gaussian estimate spread ~ phi^2
+    (1/alpha_b^2 + 1/alpha_c^2) and grown geometrically, so large amplitudes
+    are only evaluated if needed.
     """
     if not 0.0 < delta_target < 1.0:
         raise InvalidInput(f"delta_target must be in (0, 1), got {delta_target}")
 
     def spread_at(alpha: float) -> float:
-        nc = nu_c
-        if nc is None:
-            mean = replace(params, omega_b_tilde=params.omega_b_tilde * alpha,
-                           omega_c_tilde=params.omega_c_tilde * alpha * alpha_c_ratio,
-                           n_c=1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RegimeWarning)
-                nc = optimal_detuning(mean)
-        budget, _ = _one_qubit_budget(params, nc, alpha, alpha * alpha_c_ratio, phi)
-        return budget.delta_coherent_spread
+        design = design_point(params, nu_c, alpha, phi, alpha_c=alpha * alpha_c_ratio)
+        return _one_qubit_budget(params, design).delta_coherent_spread
 
     hi = min(alpha_max,
              max(1.0, phi * math.sqrt((1.0 + alpha_c_ratio ** -2) / delta_target)))

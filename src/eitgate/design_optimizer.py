@@ -129,7 +129,7 @@ def base_params(constraints: OptimizationConstraints, gamma_10: float) -> System
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = _GOLDEN_ITERS):
-    """Golden-section minimum of f on a logarithmic axis over [lo, hi]."""
+    """Golden-section minimizer of f on a logarithmic axis over [lo, hi]."""
     a, b = math.log(lo), math.log(hi)
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
@@ -143,8 +143,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = _GOLDEN_ITERS):
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)
             f2 = f(math.exp(x2))
-    x = math.exp(0.5 * (a + b))
-    return x, f(x)
+    return math.exp(0.5 * (a + b))
 
 
 def _nu_bracket(params: SystemParams, alpha_b: float,
@@ -160,19 +159,16 @@ def _nu_bracket(params: SystemParams, alpha_b: float,
 
 def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
                       constraints: OptimizationConstraints):
-    """Minimize delta_total over nu_c at fixed alpha_b."""
+    """(design, budget) minimizing delta_total over nu_c at fixed alpha_b."""
+    def evaluate(nu):
+        design = design_point(params, nu, alpha_b, constraints.phi)
+        return design, _two_qubit_budget(params, design)
+
     lo, hi = _nu_bracket(params, alpha_b, constraints)
-
-    def objective(nu):
-        budget, _ = _two_qubit_budget(params, nu, alpha_b, constraints.phi)
-        return budget.delta_total
-
-    nu, val = _golden_min(objective, lo, hi)
-    return nu, val
+    return evaluate(_golden_min(lambda nu: evaluate(nu)[1].delta_total, lo, hi))
 
 
-def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
-                        strict_edges: bool = True):
+def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
     """Grid-over-alpha / golden-over-nu minimization of the total error."""
     params = base_params(constraints, gamma_10)
     a_lo, a_hi = constraints.alpha_b_range
@@ -184,9 +180,8 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
     # default bracket the center is exactly the closed-form optimum
     def at_seed(alpha):
         lo, hi = _nu_bracket(params, alpha, constraints)
-        nu = math.sqrt(lo * hi)
-        budget, _ = _two_qubit_budget(params, nu, alpha, constraints.phi)
-        return budget.delta_total
+        design = design_point(params, math.sqrt(lo * hi), alpha, constraints.phi)
+        return _two_qubit_budget(params, design).delta_total
 
     coarse = np.array([at_seed(a) for a in integers])
     order = np.argsort(coarse, kind="stable")[:4]
@@ -198,41 +193,41 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
 
     best = None
     for alpha in sorted(candidates):
-        nu, val = _two_qubit_min_nu(params, alpha, constraints)
-        if best is None or val < best[2]:
-            best = (alpha, nu, val)
+        design, budget = _two_qubit_min_nu(params, alpha, constraints)
+        if best is None or budget.delta_total < best[1].delta_total:
+            best = (design, budget)
 
     # 0.1 refinement around the best integer
-    a0 = best[0]
+    a0 = best[0].alpha_b
     for alpha in np.arange(max(a_lo, a0 - 1.0), min(a_hi, a0 + 1.0) + 1e-9, 0.1):
-        alpha = round(float(alpha), 10)
-        nu, val = _two_qubit_min_nu(params, alpha, constraints)
-        if val < best[2]:
-            best = (alpha, nu, val)
+        design, budget = _two_qubit_min_nu(params, round(float(alpha), 10), constraints)
+        if budget.delta_total < best[1].delta_total:
+            best = (design, budget)
 
-    alpha, nu, val = best
-    at_edge = alpha <= integers[0] or alpha >= integers[-1]
-    if strict_edges and at_edge:
-        raise NoConvergence(
-            f"optimal alpha_b = {alpha} sits at the edge of the search range "
-            f"{constraints.alpha_b_range}; enlarge the range")
-
-    budget, _ = _two_qubit_budget(params, nu, alpha, constraints.phi)
-    design = design_point(params, nu, alpha, constraints.phi, mode=TWO_QUBIT)
+    design, budget = best
+    at_edge = design.alpha_b <= integers[0] or design.alpha_b >= integers[-1]
     return params, design, budget, at_edge
 
 
-def _certify_local_minimum(params: SystemParams, design: GateDesign,
-                           constraints: OptimizationConstraints, value: float):
+def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
+               at_edge: bool, constraints: OptimizationConstraints):
+    """(design, budget), once certified as an interior local minimum."""
+    if at_edge:
+        raise NoConvergence(
+            f"optimal alpha_b = {design.alpha_b} sits at the edge of the search "
+            f"range {constraints.alpha_b_range}; enlarge the range")
+    value = budget.delta_total
     for nu, alpha in ((design.nu_c * 1.05, design.alpha_b),
                       (design.nu_c * 0.95, design.alpha_b),
                       (design.nu_c, design.alpha_b * 1.05),
                       (design.nu_c, design.alpha_b * 0.95)):
-        budget, _ = _two_qubit_budget(params, nu, alpha, constraints.phi)
-        if budget.delta_total < value - _CERT_SLACK:
+        perturbed = _two_qubit_budget(params,
+                                      design_point(params, nu, alpha, constraints.phi))
+        if perturbed.delta_total < value - _CERT_SLACK:
             raise NoConvergence(
-                f"local-minimum certificate failed: delta {budget.delta_total:.6f} "
+                f"local-minimum certificate failed: delta {perturbed.delta_total:.6f} "
                 f"< {value:.6f} - {_CERT_SLACK} at nu_c={nu:.6g}, alpha_b={alpha:.6g}")
+    return design, budget
 
 
 def _one_qubit_dec_limit(gamma_10: float, constraints: OptimizationConstraints):
@@ -249,15 +244,15 @@ def _one_qubit_dec_limit(gamma_10: float, constraints: OptimizationConstraints):
     mean = replace(params, omega_b_tilde=1.0,
                    omega_c_tilde=math.sqrt(ratio_sq), n_c=1)
     target = PhaseTarget(constraints.phi)
+
+    def objective(nu):
+        return tau_eff(replace(mean, nu_c=nu), target)
+
+    lo, hi = _nu_bracket(mean, 1.0, constraints)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        seed = optimal_detuning(mean)
-
-        def objective(nu):
-            return tau_eff(replace(mean, nu_c=nu), target)
-
-        lo, hi = constraints.nu_c_range or (seed / 100.0, seed * 100.0)
-        nu, tau = _golden_min(objective, lo, hi)
+        nu = _golden_min(objective, lo, hi)
+        tau = objective(nu)
     return nu, 1.0 - math.exp(-2.0 * tau)
 
 
@@ -281,9 +276,7 @@ def optimize_design(gamma_10: float,
         raise InvalidInput(f"gamma_10 must be > 0, got {gamma_10}")
     if constraints.mode == ONE_QUBIT:
         return _one_qubit_design(gamma_10, constraints)
-    params, design, budget, _ = _two_qubit_optimize(gamma_10, constraints)
-    _certify_local_minimum(params, design, constraints, budget.delta_total)
-    return design, budget
+    return _certified(*_two_qubit_optimize(gamma_10, constraints), constraints)
 
 
 def _one_qubit_design(gamma_10: float, constraints: OptimizationConstraints):
@@ -293,22 +286,20 @@ def _one_qubit_design(gamma_10: float, constraints: OptimizationConstraints):
         raise NoConvergence(f"one-qubit decoherence floor {dec_floor} out of range")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        alpha = min_alpha_b(params, constraints.phi, dec_floor,
-                            alpha_c_ratio=constraints.alpha_c_over_alpha_b, nu_c=nu)
-        design = design_point(params, nu, alpha, constraints.phi, mode=ONE_QUBIT,
+        alpha = min_alpha_b(params, constraints.phi, dec_floor, nu,
+                            alpha_c_ratio=constraints.alpha_c_over_alpha_b)
+        design = design_point(params, nu, alpha, constraints.phi,
                               alpha_c=alpha * constraints.alpha_c_over_alpha_b)
-        budget, _ = _one_qubit_budget(params, nu, alpha,
-                                      alpha * constraints.alpha_c_over_alpha_b,
-                                      constraints.phi)
-    return design, budget
+    return design, _one_qubit_budget(params, design)
 
 
-def max_dephasing(delta_target: float,
-                  constraints: OptimizationConstraints) -> tuple[float, GateDesign]:
+def max_dephasing(delta_target: float, constraints: OptimizationConstraints
+                  ) -> tuple[float, GateDesign, ErrorBudget]:
     """Largest gamma_10 whose optimized error stays within delta_target.
 
     Bisection on log gamma_10, valid because the optimized error is
-    monotone nondecreasing in the dephasing.
+    monotone nondecreasing in the dephasing.  Returns (gamma_10, design,
+    budget); a two-qubit design is the search the bisection ran there.
 
     Raises
     ------
@@ -318,11 +309,13 @@ def max_dephasing(delta_target: float,
     """
     if not 0.0 < delta_target < 0.5:
         raise InvalidInput(f"delta_target must be in (0, 0.5), got {delta_target}")
+    searches = {}
 
     def optimized_delta(gamma: float) -> float:
         if constraints.mode == ONE_QUBIT:
             return _one_qubit_dec_limit(gamma, constraints)[1]
-        return _two_qubit_optimize(gamma, constraints, strict_edges=False)[2].delta_total
+        searches[gamma] = _two_qubit_optimize(gamma, constraints)
+        return searches[gamma][2].delta_total
 
     lo, hi = 1e-14, 1e-1
     if optimized_delta(lo) > delta_target:
@@ -340,24 +333,11 @@ def max_dephasing(delta_target: float,
             lo = mid
         else:
             hi = mid
-    design, _ = optimize_design(lo, constraints)
-    return lo, design
-
-
-def design_budget(gamma_10: float, design: GateDesign,
-                  constraints: OptimizationConstraints) -> ErrorBudget:
-    """Error budget of a known design at the constrained ratios."""
-    params = base_params(constraints, gamma_10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        if design.mode == ONE_QUBIT:
-            budget, _ = _one_qubit_budget(
-                params, design.nu_c, design.alpha_b,
-                design.alpha_b * constraints.alpha_c_over_alpha_b, constraints.phi)
-        else:
-            budget, _ = _two_qubit_budget(params, design.nu_c, design.alpha_b,
-                                          constraints.phi)
-    return budget
+    if constraints.mode == ONE_QUBIT:
+        design, budget = _one_qubit_design(lo, constraints)
+    else:
+        design, budget = _certified(*searches[lo], constraints)
+    return lo, design, budget
 
 
 def _row_from_design(gamma_10, design, budget, constraints) -> SweepRow:
@@ -407,8 +387,7 @@ def sweep(spec: SweepSpec,
                         design, budget = optimize_design(value, cs)
                         row = _row_from_design(value, design, budget, cs)
                     else:
-                        gamma, design = max_dephasing(value, cs)
-                        budget = design_budget(gamma, design, cs)
+                        gamma, design, budget = max_dephasing(value, cs)
                         row = _row_from_design(gamma, design, budget, cs)
             except GateModelError as exc:
                 row = _failed_row(value if spec.quantity == "gamma_10" else None,

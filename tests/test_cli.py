@@ -179,6 +179,16 @@ class TestMainEntry:
         assert main(["design", "--delta", "inf"]) == 2
         assert main(["design", "--delta", "0.2", "--suppression", "nan"]) == 2
 
+    def test_out_of_range_design_target_exits_2(self, tmp_path, capsys):
+        assert main(["design", "--delta", "0.7"]) == 2
+        assert "delta_target" in capsys.readouterr().err
+        assert main(["design", "--gamma10", "-1"]) == 2
+        assert "gamma_10" in capsys.readouterr().err
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"design": {"delta_target": 0.7}}))
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
         # Python's json accepts NaN and Infinity; the config parser must not
         cfg = tmp_path / "c.json"

@@ -7,9 +7,9 @@ from scipy.stats import poisson
 
 from eitgate import (DegenerateDenominator, GateDesign, InvalidInput, NotAttainable,
                      RegimeWarning, SystemParams, design_point, gate_error, min_alpha_b,
-                     one_qubit_error, w10)
-from eitgate.coherent_gate import (EPS_TRUNC, ONE_QUBIT, _one_qubit_budget,
-                                   _poisson_window, _response_grid, _two_qubit_budget)
+                     optimal_detuning, w10)
+from eitgate.coherent_gate import (EPS_TRUNC, _one_qubit_budget, _poisson_window,
+                                   _response_grid, _two_qubit_budget)
 from conftest import w10_continued_fraction
 
 PI = math.pi
@@ -179,7 +179,7 @@ class TestGateDesign:
         design = design_point(p, 125.0, 10.0, PI)
         tampered = GateDesign(nu_c=design.nu_c, alpha_b=design.alpha_b,
                               phi=design.phi, time_norm=design.time_norm * 1.01,
-                              suppression=design.suppression, mode=design.mode)
+                              suppression=design.suppression, alpha_c=design.alpha_c)
         with pytest.raises(InvalidInput):
             gate_error(p, tampered)
 
@@ -188,7 +188,9 @@ class TestGateDesign:
             GateDesign(nu_c=1.0, alpha_b=-1.0, phi=PI, time_norm=1.0, suppression=1.0)
         with pytest.raises(InvalidInput):
             GateDesign(nu_c=1.0, alpha_b=1.0, phi=PI, time_norm=1.0,
-                       suppression=1.0, mode="three-qubit")
+                       suppression=1.0, alpha_c=0.0)
+        with pytest.raises(InvalidInput):
+            design_point(params(), 125.0, 10.0, PI, alpha_c=-1.0)
 
 
 class TestGateError:
@@ -206,7 +208,7 @@ class TestGateError:
         p = params(gamma_10=1e-3)
         design = design_point(p, 125.0, 10.0, PI)
         _, damping = component_response(p, 100, design.time_norm)
-        budget, _ = _two_qubit_budget(p, 125.0, 10.0, PI)
+        budget = _two_qubit_budget(p, design)
         # dampings vary slowly across the bulk of the distribution, so the
         # decoherence component tracks 1 - e^{-2 tau(mean)} closely
         assert budget.delta_decoherence == pytest.approx(
@@ -249,18 +251,12 @@ class TestGateError:
             assert budget.delta_total == pytest.approx(
                 1.0 - abs(overlap) ** 2, rel=1e-9, abs=4 * EPS_TRUNC)
 
-    def test_wrong_mode_rejected(self):
-        p = params()
-        design = design_point(p, 125.0, 10.0, PI, mode=ONE_QUBIT, alpha_c=100.0)
-        with pytest.raises(InvalidInput):
-            gate_error(p, design)
-
 
 class TestOneQubitError:
     def test_ideal_gate(self):
         p = lossless(nu_c=10.0)
-        design = design_point(p, 10.0, 30.0, PI, mode=ONE_QUBIT, alpha_c=300.0)
-        budget = one_qubit_error(p, design, 300.0)
+        design = design_point(p, 10.0, 30.0, PI, alpha_c=300.0)
+        budget = gate_error(p, design)
         assert budget.delta_decoherence == 0.0
         assert budget.delta_total < 2e-2
 
@@ -268,10 +264,8 @@ class TestOneQubitError:
         p = lossless(nu_c=10.0)
         spreads = []
         for alpha in (5.0, 10.0, 20.0):
-            design = design_point(p, 10.0, alpha, PI, mode=ONE_QUBIT,
-                                  alpha_c=10.0 * alpha)
-            spreads.append(one_qubit_error(p, design, 10.0 * alpha)
-                           .delta_coherent_spread)
+            design = design_point(p, 10.0, alpha, PI, alpha_c=10.0 * alpha)
+            spreads.append(gate_error(p, design).delta_coherent_spread)
         assert spreads[0] > spreads[1] > spreads[2]
 
     def test_decoherence_insensitive_to_intensity(self):
@@ -281,49 +275,45 @@ class TestOneQubitError:
         p = params(gamma_10=1e-4, nu_c=1.0)
         decs = []
         for alpha in (5.0, 15.0, 50.0):
-            mean = replace(p, omega_b_tilde=alpha, omega_c_tilde=10.0 * alpha, n_c=1)
-            from eitgate import optimal_detuning
-            nu = optimal_detuning(mean)
-            budget, _ = _one_qubit_budget(p, nu, alpha, 10.0 * alpha, PI)
-            decs.append(budget.delta_decoherence)
+            nu = _nu_for(p, alpha)
+            design = design_point(p, nu, alpha, PI, alpha_c=10.0 * alpha)
+            decs.append(_one_qubit_budget(p, design).delta_decoherence)
         assert max(decs) / min(decs) < 2.0
 
     def test_ratio_warning(self):
         p = params(nu_c=10.0)
-        design = design_point(p, 10.0, 10.0, PI, mode=ONE_QUBIT, alpha_c=20.0)
+        design = design_point(p, 10.0, 10.0, PI, alpha_c=20.0)
         with pytest.warns(RegimeWarning):
-            one_qubit_error(p, design, 20.0)
-
-    def test_invalid_inputs(self):
-        p = params(nu_c=10.0)
-        two_qubit = design_point(p, 10.0, 10.0, PI)
-        with pytest.raises(InvalidInput):
-            one_qubit_error(p, two_qubit, 100.0)
+            gate_error(p, design)
 
 
 class TestMinAlphaB:
     def test_threshold_property(self):
         p = params()
-        alpha = min_alpha_b(p, PI, 0.05, alpha_c_ratio=10.0)
-        budget, _ = _one_qubit_budget(p, None or _nu_for(p, alpha), alpha,
-                                      10.0 * alpha, PI)
+        nu = _nu_for(p, 1.0)
+        alpha = min_alpha_b(p, PI, 0.05, nu, alpha_c_ratio=10.0)
+        budget = _one_qubit_budget(p, design_point(p, nu, alpha, PI, alpha_c=10.0 * alpha))
         assert budget.delta_coherent_spread <= 0.05
-        below, _ = _one_qubit_budget(p, _nu_for(p, alpha * 0.9), alpha * 0.9,
-                                     9.0 * alpha, PI)
+        below = _one_qubit_budget(p, design_point(p, nu, alpha * 0.9, PI,
+                                                  alpha_c=9.0 * alpha))
         assert below.delta_coherent_spread > 0.05 * 0.8
 
     def test_smaller_target_needs_larger_alpha(self):
         p = params()
-        assert min_alpha_b(p, PI, 0.02) > min_alpha_b(p, PI, 0.1)
+        nu = _nu_for(p, 1.0)
+        assert min_alpha_b(p, PI, 0.02, nu) > min_alpha_b(p, PI, 0.1, nu)
 
     def test_not_attainable(self):
         p = params()
         with pytest.raises(NotAttainable):
-            min_alpha_b(p, PI, 1e-4, alpha_max=20.0)
+            min_alpha_b(p, PI, 1e-4, _nu_for(p, 1.0), alpha_max=20.0)
 
 
 def _nu_for(p, alpha, ratio=10.0):
-    from eitgate import optimal_detuning
+    """Closed-form optimal nu_c at the mean one-qubit configuration.
+
+    It depends on the drive amplitudes only through alpha_c / alpha_b.
+    """
     mean = replace(p, omega_b_tilde=p.omega_b_tilde * alpha,
                    omega_c_tilde=p.omega_c_tilde * alpha * ratio, n_c=1)
     return optimal_detuning(mean)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from eitgate import (InvalidInput, NotAttainable, OptimizationConstraints,
-                     SweepSpec, base_params, design_budget, max_dephasing,
+                     SweepSpec, base_params, design_point, gate_error, max_dephasing,
                      optimal_detuning, optimize_design, sweep, sweep_to_csv,
                      sweep_to_json)
+from eitgate import design_optimizer
 from eitgate.coherent_gate import _two_qubit_budget
 from eitgate.design_optimizer import SWEEP_COLUMNS
 
@@ -67,7 +68,7 @@ class TestOptimizeDesign:
         p = base_params(cs, 1e-6)
         for nu, alpha in ((design.nu_c * 1.05, design.alpha_b),
                           (design.nu_c, design.alpha_b * 1.05)):
-            perturbed, _ = _two_qubit_budget(p, nu, alpha, cs.phi)
+            perturbed = _two_qubit_budget(p, design_point(p, nu, alpha, cs.phi))
             assert perturbed.delta_total >= budget.delta_total - 1e-4
 
     def test_seeded_by_closed_form_when_dephasing_dominates(self):
@@ -89,15 +90,28 @@ class TestOptimizeDesign:
 class TestMaxDephasing:
     def test_monotone_inversion(self):
         cs = OptimizationConstraints(suppression=1.0)
-        g_strict, _ = max_dephasing(0.05, cs)
-        g_loose, _ = max_dephasing(0.2, cs)
+        g_strict, _, _ = max_dephasing(0.05, cs)
+        g_loose, _, _ = max_dephasing(0.2, cs)
         assert g_strict < g_loose
 
-    def test_witness_meets_target(self):
+    def test_witness_meets_target(self, monkeypatch):
+        searches = []
+        search = design_optimizer._two_qubit_optimize
+
+        def counted(*args, **kwargs):
+            searches.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", counted)
         cs = OptimizationConstraints(suppression=1.0)
-        gamma, design = max_dephasing(0.2, cs)
-        budget = design_budget(gamma, design, cs)
+        gamma, design, budget = max_dephasing(0.2, cs)
         assert budget.delta_total <= 0.2 * 1.01
+        # the returned budget is the witness design's own, bit for bit
+        assert budget == gate_error(base_params(cs, gamma), design)
+        # two bracket ends and one search per bisection step; the search at
+        # the final gamma_10 is reused, not run again
+        assert len(searches) == 2 + design_optimizer._BISECT_ITERS == 16
+        assert searches.count(gamma) == 1
 
     def test_not_attainable(self):
         cs = OptimizationConstraints(alpha_b_range=(1.0, 10.0))
