@@ -162,13 +162,20 @@ def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBu
     )
 
 
-def _two_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
+def _two_qubit_budget(params: SystemParams, design: GateDesign,
+                      windows: dict | None = None) -> ErrorBudget:
     """Error budget at a two-qubit design.
 
     The interaction time is the design's, calibrated by design_point; mode c
-    holds the single Fock component n_c.
+    holds the single Fock component n_c.  windows maps alpha_b to its Poisson
+    window; a missing entry is built and stored, so a design search that
+    passes one table builds each window once.
     """
-    nb, pb, _ = _poisson_window(design.alpha_b ** 2)
+    if windows is None:
+        windows = {}
+    if design.alpha_b not in windows:
+        windows[design.alpha_b] = _poisson_window(design.alpha_b ** 2)
+    nb, pb, _ = windows[design.alpha_b]
     return _fock_sum(replace(params, nu_c=design.nu_c), design.time_norm, nb, pb,
                      np.array([params.n_c]), np.array([1.0]))
 
@@ -244,20 +251,25 @@ def gate_error(params: SystemParams, design: GateDesign) -> ErrorBudget:
 
 def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: float,
                 alpha_c_ratio: float = 10.0, alpha_max: float = 400.0,
-                tol: float = 0.02) -> float:
-    """Smallest drive amplitude whose spread-only one-qubit error <= target.
+                tol: float = 0.02) -> tuple[GateDesign, ErrorBudget]:
+    """(design, budget) at the smallest drive amplitude whose spread-only
+    one-qubit error <= target.
 
     The detuning is held at nu_c; alpha_c tracks alpha_b at the given ratio.
     The bracket is seeded from the Gaussian estimate spread ~ phi^2
     (1/alpha_b^2 + 1/alpha_c^2) and grown geometrically, so large amplitudes
-    are only evaluated if needed.
+    are only evaluated if needed.  The returned pair is the one the search
+    evaluated at its result.
     """
     if not 0.0 < delta_target < 1.0:
         raise InvalidInput(f"delta_target must be in (0, 1), got {delta_target}")
 
+    evaluated = {}
+
     def spread_at(alpha: float) -> float:
         design = design_point(params, nu_c, alpha, phi, alpha_c=alpha * alpha_c_ratio)
-        return _one_qubit_budget(params, design).delta_coherent_spread
+        evaluated[alpha] = design, _one_qubit_budget(params, design)
+        return evaluated[alpha][1].delta_coherent_spread
 
     hi = min(alpha_max,
              max(1.0, phi * math.sqrt((1.0 + alpha_c_ratio ** -2) / delta_target)))
@@ -276,4 +288,4 @@ def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: flo
             hi = mid
         else:
             lo = mid
-    return hi
+    return evaluated[hi]

@@ -18,8 +18,7 @@ import numpy as np
 
 from .analytic_design import PhaseTarget, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
-                            _one_qubit_budget, _two_qubit_budget, design_point,
-                            min_alpha_b)
+                            _two_qubit_budget, design_point, min_alpha_b)
 from .core_model import SystemParams
 from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
                      NoConvergence, NotAttainable, RegimeWarning)
@@ -158,18 +157,24 @@ def _nu_bracket(params: SystemParams, alpha_b: float,
 
 
 def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
-                      constraints: OptimizationConstraints):
+                      constraints: OptimizationConstraints, windows: dict):
     """(design, budget) minimizing delta_total over nu_c at fixed alpha_b."""
     def evaluate(nu):
         design = design_point(params, nu, alpha_b, constraints.phi)
-        return design, _two_qubit_budget(params, design)
+        return design, _two_qubit_budget(params, design, windows)
 
     lo, hi = _nu_bracket(params, alpha_b, constraints)
     return evaluate(_golden_min(lambda nu: evaluate(nu)[1].delta_total, lo, hi))
 
 
-def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
-    """Grid-over-alpha / golden-over-nu minimization of the total error."""
+def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
+                        windows: dict):
+    """Grid-over-alpha / golden-over-nu minimization of the total error.
+
+    windows is the Poisson-window table of the calling design run (see
+    _two_qubit_budget); the windows depend on alpha_b alone, so every search
+    of the run shares it.
+    """
     params = base_params(constraints, gamma_10)
     a_lo, a_hi = constraints.alpha_b_range
     integers = np.arange(math.ceil(a_lo), math.floor(a_hi) + 1, dtype=float)
@@ -181,7 +186,7 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
     def at_seed(alpha):
         lo, hi = _nu_bracket(params, alpha, constraints)
         design = design_point(params, math.sqrt(lo * hi), alpha, constraints.phi)
-        return _two_qubit_budget(params, design).delta_total
+        return _two_qubit_budget(params, design, windows).delta_total
 
     coarse = np.array([at_seed(a) for a in integers])
     order = np.argsort(coarse, kind="stable")[:4]
@@ -193,14 +198,15 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
 
     best = None
     for alpha in sorted(candidates):
-        design, budget = _two_qubit_min_nu(params, alpha, constraints)
+        design, budget = _two_qubit_min_nu(params, alpha, constraints, windows)
         if best is None or budget.delta_total < best[1].delta_total:
             best = (design, budget)
 
     # 0.1 refinement around the best integer
     a0 = best[0].alpha_b
     for alpha in np.arange(max(a_lo, a0 - 1.0), min(a_hi, a0 + 1.0) + 1e-9, 0.1):
-        design, budget = _two_qubit_min_nu(params, round(float(alpha), 10), constraints)
+        design, budget = _two_qubit_min_nu(params, round(float(alpha), 10), constraints,
+                                           windows)
         if budget.delta_total < best[1].delta_total:
             best = (design, budget)
 
@@ -210,7 +216,7 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
 
 
 def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
-               at_edge: bool, constraints: OptimizationConstraints):
+               at_edge: bool, constraints: OptimizationConstraints, windows: dict):
     """(design, budget), once certified as an interior local minimum."""
     if at_edge:
         raise NoConvergence(
@@ -222,7 +228,8 @@ def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
                       (design.nu_c, design.alpha_b * 1.05),
                       (design.nu_c, design.alpha_b * 0.95)):
         perturbed = _two_qubit_budget(params,
-                                      design_point(params, nu, alpha, constraints.phi))
+                                      design_point(params, nu, alpha, constraints.phi),
+                                      windows)
         if perturbed.delta_total < value - _CERT_SLACK:
             raise NoConvergence(
                 f"local-minimum certificate failed: delta {perturbed.delta_total:.6f} "
@@ -276,7 +283,9 @@ def optimize_design(gamma_10: float,
         raise InvalidInput(f"gamma_10 must be > 0, got {gamma_10}")
     if constraints.mode == ONE_QUBIT:
         return _one_qubit_design(gamma_10, constraints)
-    return _certified(*_two_qubit_optimize(gamma_10, constraints), constraints)
+    windows = {}
+    return _certified(*_two_qubit_optimize(gamma_10, constraints, windows),
+                      constraints, windows)
 
 
 def _one_qubit_design(gamma_10: float, constraints: OptimizationConstraints):
@@ -286,11 +295,8 @@ def _one_qubit_design(gamma_10: float, constraints: OptimizationConstraints):
         raise NoConvergence(f"one-qubit decoherence floor {dec_floor} out of range")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        alpha = min_alpha_b(params, constraints.phi, dec_floor, nu,
-                            alpha_c_ratio=constraints.alpha_c_over_alpha_b)
-        design = design_point(params, nu, alpha, constraints.phi,
-                              alpha_c=alpha * constraints.alpha_c_over_alpha_b)
-    return design, _one_qubit_budget(params, design)
+        return min_alpha_b(params, constraints.phi, dec_floor, nu,
+                           alpha_c_ratio=constraints.alpha_c_over_alpha_b)
 
 
 def max_dephasing(delta_target: float, constraints: OptimizationConstraints
@@ -310,11 +316,12 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     if not 0.0 < delta_target < 0.5:
         raise InvalidInput(f"delta_target must be in (0, 0.5), got {delta_target}")
     searches = {}
+    windows = {}
 
     def optimized_delta(gamma: float) -> float:
         if constraints.mode == ONE_QUBIT:
             return _one_qubit_dec_limit(gamma, constraints)[1]
-        searches[gamma] = _two_qubit_optimize(gamma, constraints)
+        searches[gamma] = _two_qubit_optimize(gamma, constraints, windows)
         return searches[gamma][2].delta_total
 
     lo, hi = 1e-14, 1e-1
@@ -336,7 +343,7 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     if constraints.mode == ONE_QUBIT:
         design, budget = _one_qubit_design(lo, constraints)
     else:
-        design, budget = _certified(*searches[lo], constraints)
+        design, budget = _certified(*searches[lo], constraints, windows)
     return lo, design, budget
 
 

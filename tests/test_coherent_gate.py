@@ -291,8 +291,11 @@ class TestMinAlphaB:
     def test_threshold_property(self):
         p = params()
         nu = _nu_for(p, 1.0)
-        alpha = min_alpha_b(p, PI, 0.05, nu, alpha_c_ratio=10.0)
-        budget = _one_qubit_budget(p, design_point(p, nu, alpha, PI, alpha_c=10.0 * alpha))
+        design, budget = min_alpha_b(p, PI, 0.05, nu, alpha_c_ratio=10.0)
+        alpha = design.alpha_b
+        # the returned pair is the search's own evaluation at its result
+        assert design == design_point(p, nu, alpha, PI, alpha_c=10.0 * alpha)
+        assert budget == _one_qubit_budget(p, design)
         assert budget.delta_coherent_spread <= 0.05
         below = _one_qubit_budget(p, design_point(p, nu, alpha * 0.9, PI,
                                                   alpha_c=9.0 * alpha))
@@ -301,7 +304,9 @@ class TestMinAlphaB:
     def test_smaller_target_needs_larger_alpha(self):
         p = params()
         nu = _nu_for(p, 1.0)
-        assert min_alpha_b(p, PI, 0.02, nu) > min_alpha_b(p, PI, 0.1, nu)
+        strict, _ = min_alpha_b(p, PI, 0.02, nu)
+        loose, _ = min_alpha_b(p, PI, 0.1, nu)
+        assert strict.alpha_b > loose.alpha_b
 
     def test_not_attainable(self):
         p = params()

@@ -8,7 +8,7 @@ from eitgate import (InvalidInput, NotAttainable, OptimizationConstraints,
                      SweepSpec, base_params, design_point, gate_error, max_dephasing,
                      optimal_detuning, optimize_design, sweep, sweep_to_csv,
                      sweep_to_json)
-from eitgate import design_optimizer
+from eitgate import coherent_gate, design_optimizer
 from eitgate.coherent_gate import _two_qubit_budget
 from eitgate.design_optimizer import SWEEP_COLUMNS
 
@@ -102,16 +102,41 @@ class TestMaxDephasing:
             searches.append(args[0])
             return search(*args, **kwargs)
 
+        windows = []
+        window = coherent_gate._poisson_window
+
+        def counted_window(mu):
+            windows.append(mu)
+            return window(mu)
+
+        alphas = set()
+        two_qubit_budget = design_optimizer._two_qubit_budget
+
+        def recorded(params, design, *args):
+            alphas.add(design.alpha_b)
+            return two_qubit_budget(params, design, *args)
+
         monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", counted)
+        monkeypatch.setattr(coherent_gate, "_poisson_window", counted_window)
+        monkeypatch.setattr(design_optimizer, "_two_qubit_budget", recorded)
         cs = OptimizationConstraints(suppression=1.0)
         gamma, design, budget = max_dephasing(0.2, cs)
+        # all searches of one call share one window table: each distinct
+        # alpha_b has its window built once
+        built = len(windows)
+        assert built == len(alphas)
         assert budget.delta_total <= 0.2 * 1.01
-        # the returned budget is the witness design's own, bit for bit
+        # the returned budget, summed over a window from the table, is the
+        # witness design's own with a freshly built window, bit for bit
         assert budget == gate_error(base_params(cs, gamma), design)
         # two bracket ends and one search per bisection step; the search at
         # the final gamma_10 is reused, not run again
         assert len(searches) == 2 + design_optimizer._BISECT_ITERS == 16
         assert searches.count(gamma) == 1
+        # the table lives for one call: an identical call builds every window again
+        windows.clear()
+        assert max_dephasing(0.2, cs) == (gamma, design, budget)
+        assert len(windows) == built
 
     def test_not_attainable(self):
         cs = OptimizationConstraints(alpha_b_range=(1.0, 10.0))
