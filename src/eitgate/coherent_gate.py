@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.stats import poisson
 
 from .analytic_design import PhaseTarget, gate_time
@@ -27,6 +28,7 @@ from .core_model import SystemParams, _w10_terms
 from .errors import InvalidInput, NotAttainable, RegimeWarning
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
+GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"
@@ -48,6 +50,7 @@ class GateDesign:
     alpha_c: float | None = None
 
     def __post_init__(self):
+        _check_finite(self)
         if self.alpha_b < 0:
             raise InvalidInput(f"alpha_b must be >= 0, got {self.alpha_b}")
         if self.phi <= 0:
@@ -61,6 +64,12 @@ class GateDesign:
     @property
     def mode(self) -> str:
         return TWO_QUBIT if self.alpha_c is None else ONE_QUBIT
+
+
+def _check_finite(record) -> None:
+    for name, value in vars(record).items():
+        if value is not None and not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value}")
 
 
 def _check_alpha_c(alpha_c: float | None) -> None:
@@ -78,6 +87,7 @@ class ErrorBudget:
     fidelity: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
             raise InvalidInput(f"fidelity out of [0, 1]: {self.fidelity}")
         if abs(self.delta_total - (1.0 - self.fidelity ** 2)) > 1e-9:
@@ -153,10 +163,12 @@ def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBu
         m_spread += np.sum(weights * np.exp(-1j * phases))
         m_damp += float(np.sum(weights * np.exp(-taus)))
         wsum += float(np.sum(weights))
+    # the builtins return their first argument when a comparison with NaN is
+    # false, so the sum comes first and a NaN reaches ErrorBudget's check
     fid = min(float(np.abs(m_full / wsum)), 1.0)
     return ErrorBudget(
-        delta_decoherence=max(0.0, 1.0 - min(float(m_damp / wsum), 1.0) ** 2),
-        delta_coherent_spread=max(0.0, 1.0 - min(float(np.abs(m_spread / wsum)), 1.0) ** 2),
+        delta_decoherence=max(1.0 - min(float(m_damp / wsum), 1.0) ** 2, 0.0),
+        delta_coherent_spread=max(1.0 - min(float(np.abs(m_spread / wsum)), 1.0) ** 2, 0.0),
         delta_total=1.0 - fid ** 2,
         fidelity=fid,
     )
@@ -180,16 +192,61 @@ def _two_qubit_budget(params: SystemParams, design: GateDesign,
                      np.array([params.n_c]), np.array([1.0]))
 
 
+def _gauss_charlier(mu: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss rule for the Poisson(mu) measure.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Charlier polynomials (diagonal k + mu, off-diagonal sqrt(k mu)) and the
+    weights the squared first components of its eigenvectors.
+    """
+    k = np.arange(m, dtype=float)
+    nodes, vectors = eigh_tridiagonal(k + mu, np.sqrt(k[1:] * mu))
+    return nodes, vectors[0] ** 2
+
+
+def _quadrature_budget(params: SystemParams, time_norm: float, mu_b: float,
+                       mu_c: float) -> ErrorBudget | None:
+    """The one-qubit Fock double sum by Gauss-Charlier rules on both axes.
+
+    The order runs through GAUSS_ORDERS and is accepted once no budget field
+    moved by more than EPS_TRUNC from the order before.  None when the
+    ladder ends unconverged or a rule has a negative or non-finite node
+    (small mu, high order), where sqrt(n) would not be a drive amplitude.
+    """
+    previous = None
+    for m in GAUSS_ORDERS:
+        nb, pb = _gauss_charlier(mu_b, m)
+        nc, pc = _gauss_charlier(mu_c, m)
+        if not all(np.all(np.isfinite(n) & (n >= 0.0)) for n in (nb, nc)):
+            return None
+        budget = _fock_sum(params, time_norm, nb, pb, nc, pc)
+        if previous is not None and all(
+                abs(getattr(budget, f) - getattr(previous, f)) <= EPS_TRUNC
+                for f in ("delta_total", "delta_decoherence", "delta_coherent_spread")):
+            return budget
+        previous = budget
+    return None
+
+
 def _one_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
     """Error budget for coherent drives in both modes b and c.
 
-    The interaction time is the design's, calibrated by design_point; the
-    Fock sum runs over the product of the two modes' Poisson windows.
+    The interaction time is the design's, calibrated by design_point.  The
+    summand is smooth across each mode's Poisson window, so a converged
+    Gauss-Charlier rule replaces the Fock double sum.  The product of the
+    exact windows is summed instead when the rule does not converge, and
+    when the vacuum, whose response is degenerate, carries more Poisson
+    weight than a window may leave out on one side.
     """
-    nb, pb, _ = _poisson_window(design.alpha_b ** 2)
-    nc, pc, _ = _poisson_window(design.alpha_c ** 2)
-    return _fock_sum(replace(params, nu_c=design.nu_c, n_c=1), design.time_norm,
-                     nb, pb, nc, pc)
+    mu_b, mu_c = design.alpha_b ** 2, design.alpha_c ** 2
+    p = replace(params, nu_c=design.nu_c, n_c=1)
+    if math.exp(-min(mu_b, mu_c)) <= EPS_TRUNC / 2.0:
+        budget = _quadrature_budget(p, design.time_norm, mu_b, mu_c)
+        if budget is not None:
+            return budget
+    nb, pb, _ = _poisson_window(mu_b)
+    nc, pc, _ = _poisson_window(mu_c)
+    return _fock_sum(p, design.time_norm, nb, pb, nc, pc)
 
 
 def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,

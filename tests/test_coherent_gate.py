@@ -3,13 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from eitgate import (DegenerateDenominator, GateDesign, InvalidInput, NotAttainable,
-                     RegimeWarning, SystemParams, design_point, gate_error, min_alpha_b,
-                     optimal_detuning, w10)
-from eitgate.coherent_gate import (EPS_TRUNC, _one_qubit_budget, _poisson_window,
-                                   _response_grid, _two_qubit_budget)
+from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, InvalidInput,
+                     NotAttainable, RegimeWarning, SystemParams, design_point, gate_error,
+                     min_alpha_b, optimal_detuning, w10)
+from eitgate import coherent_gate
+from eitgate.coherent_gate import (EPS_TRUNC, _fock_sum, _gauss_charlier, _one_qubit_budget,
+                                   _poisson_window, _quadrature_budget, _response_grid,
+                                   _two_qubit_budget)
 from conftest import w10_continued_fraction
 
 PI = math.pi
@@ -192,6 +196,24 @@ class TestGateDesign:
         with pytest.raises(InvalidInput):
             design_point(params(), 125.0, 10.0, PI, alpha_c=-1.0)
 
+    def test_non_finite_fields_rejected(self):
+        fields = dict(nu_c=1.0, alpha_b=1.0, phi=PI, time_norm=1.0, suppression=1.0,
+                      alpha_c=10.0)
+        for name in fields:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(InvalidInput, match=name):
+                    GateDesign(**{**fields, name: bad})
+
+
+class TestErrorBudget:
+    def test_non_finite_fields_rejected(self):
+        fields = dict(delta_decoherence=0.1, delta_coherent_spread=0.1,
+                      delta_total=0.19, fidelity=0.9)
+        for name in fields:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidInput, match=name):
+                    ErrorBudget(**{**fields, name: bad})
+
 
 class TestGateError:
     def test_ideal_gate(self):
@@ -285,6 +307,110 @@ class TestOneQubitError:
         design = design_point(p, 10.0, 10.0, PI, alpha_c=20.0)
         with pytest.warns(RegimeWarning):
             gate_error(p, design)
+
+
+def exact_one_qubit(p, design):
+    """The one-qubit Fock double sum over the product of both exact windows."""
+    nb, pb, _ = _poisson_window(design.alpha_b ** 2)
+    nc, pc, _ = _poisson_window(design.alpha_c ** 2)
+    return _fock_sum(replace(p, nu_c=design.nu_c, n_c=1), design.time_norm, nb, pb, nc, pc)
+
+
+class TestGaussCharlier:
+    """The one-qubit budget sums a Gauss-Charlier rule where it converges."""
+
+    FIELDS = ("delta_total", "delta_decoherence", "delta_coherent_spread", "fidelity")
+
+    @pytest.mark.parametrize("gamma_10", [0.0, 1e-5])
+    def test_agrees_with_exact_windows(self, gamma_10):
+        if gamma_10 == 0.0:
+            p, nu_of = lossless(nu_c=10.0), lambda alpha, ratio: 10.0
+        else:
+            p = params(gamma_10=gamma_10)
+            nu_of = lambda alpha, ratio: _nu_for(p, alpha, ratio)
+        for alpha in (3.0, 5.0, 7.0, 10.0, 14.0, 20.0, 28.0):
+            for ratio in (10.0, 20.0):
+                design = design_point(p, nu_of(alpha, ratio), alpha, PI,
+                                      alpha_c=ratio * alpha)
+                budget = _one_qubit_budget(p, design)
+                exact = exact_one_qubit(p, design)
+                rule = _quadrature_budget(replace(p, nu_c=design.nu_c, n_c=1),
+                                          design.time_norm, alpha ** 2, design.alpha_c ** 2)
+                if alpha <= 5.0:
+                    # near the vacuum the ladder does not converge: the
+                    # exact sum, bit for bit
+                    assert rule is None and budget == exact
+                    continue
+                assert budget == rule
+                for field in self.FIELDS:
+                    assert getattr(budget, field) == pytest.approx(
+                        getattr(exact, field), rel=0, abs=4 * EPS_TRUNC)
+
+    def test_rule_integrates_poisson_moments(self):
+        # an m-point Gauss rule is exact for polynomials of degree < 2m
+        mu = 196.0
+        nodes, weights = _gauss_charlier(mu, 8)
+        n = np.arange(0, 600)
+        pmf = poisson.pmf(n, mu)
+        for degree in range(16):
+            exact = math.fsum(pmf * (n / mu) ** degree)
+            assert math.fsum(weights * (nodes / mu) ** degree) == pytest.approx(exact, rel=1e-10)
+
+    def test_negative_node_falls_back(self, monkeypatch):
+        p = params(gamma_10=1e-5)
+        design = design_point(p, _nu_for(p, 14.0), 14.0, PI, alpha_c=140.0)
+        exact = exact_one_qubit(p, design)
+        assert _one_qubit_budget(p, design) != exact
+        rule = coherent_gate._gauss_charlier
+        for bad in (-1e-3, math.nan):
+            def with_bad_node(mu, m, bad=bad):
+                nodes, weights = rule(mu, m)
+                nodes[0] = bad
+                return nodes, weights
+            monkeypatch.setattr(coherent_gate, "_gauss_charlier", with_bad_node)
+            assert _one_qubit_budget(p, design) == exact
+
+    def test_small_mu_node_check_precedes_sum(self, monkeypatch):
+        # at mu = 1 the 32-node rule has a node below zero, where sqrt(n)
+        # would give NaN; the ladder must stop before summing it
+        assert _gauss_charlier(1.0, 32)[0].min() < 0.0
+        p = params(gamma_10=1e-5)
+        design = design_point(p, _nu_for(p, 1.0), 1.0, PI, alpha_c=10.0)
+        summed = []
+
+        def recording(params, time_norm, nb, pb, nc, pc):
+            summed.append(min(nb.min(), nc.min()))
+            return _fock_sum(params, time_norm, nb, pb, nc, pc)
+        monkeypatch.setattr(coherent_gate, "_fock_sum", recording)
+        assert _quadrature_budget(replace(p, nu_c=design.nu_c, n_c=1),
+                                  design.time_norm, 1.0, 100.0) is None
+        assert min(summed) >= 0.0
+
+
+class TestBudgetProperties:
+    """Both budgets over the physical ensemble, near the closed-form optimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(3.0, 30.0), ratio=st.floats(10.0, 20.0),
+           log_gamma=st.floats(-7.0, -4.0), nu_scale=st.floats(0.5, 2.0),
+           one_qubit=st.booleans())
+    def test_budget_identities(self, alpha, ratio, log_gamma, nu_scale, one_qubit):
+        p = params(gamma_10=10.0 ** log_gamma)
+        if one_qubit:
+            nu = nu_scale * _nu_for(p, alpha, ratio)
+            design = design_point(p, nu, alpha, PI, alpha_c=ratio * alpha)
+            budget_of = _one_qubit_budget
+        else:
+            nu = nu_scale * optimal_detuning(replace(p, omega_b_tilde=alpha))
+            design = design_point(p, nu, alpha, PI)
+            budget_of = _two_qubit_budget
+        budget = budget_of(p, design)
+        assert 0.0 <= budget.fidelity <= 1.0
+        assert budget.delta_total == 1.0 - budget.fidelity ** 2
+        for part in (budget.delta_total, budget.delta_decoherence,
+                     budget.delta_coherent_spread):
+            assert 0.0 <= part <= 1.0
+        assert budget_of(p, design) == budget
 
 
 class TestMinAlphaB:
