@@ -13,9 +13,9 @@ from .design_optimizer import (OptimizationConstraints, SweepRow, SweepSpec,
                                optimize_design, sweep, sweep_to_csv, sweep_to_json)
 from .errors import (ConfigError, DegenerateDenominator, DegenerateParams,
                      DivisionByZero, GateModelError, InvalidInput,
-                     MonotonicityViolation, NoConvergence, NotAttainable,
-                     RegimeWarning, StepSizeUnderflow, ZeroPhaseRate)
-from .lindblad_oracle import (CoherenceVector, OracleReport, Trajectory, integrate,
-                              steady_chain_rate, verify_qss)
+                     MonotonicityViolation, NearExceptionalPoint, NoConvergence,
+                     NotAttainable, RegimeWarning, ZeroPhaseRate)
+from .lindblad_oracle import (OracleReport, Trajectory, integrate, steady_chain_rate,
+                              verify_qss)
 
 __version__ = "0.1.0"

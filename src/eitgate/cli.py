@@ -2,9 +2,9 @@
 
 Four subcommands: `eval` (closed-form quantities at a parameter point),
 `design` (optimize or invert the design map), `sweep` (trade-off tables),
-`check-oracle` (integrate the coherence chain and compare with the closed
-form).  Configuration is a single JSON document; every value the CLI prints
-is exactly the corresponding library result.
+`check-oracle` (solve the coherence chain exactly and compare with the
+closed form).  Configuration is a single JSON document; every value the CLI
+prints is exactly the corresponding library result.
 
 Exit codes: 0 success, 2 configuration errors, 3 math-domain errors,
 4 oracle deviation beyond its hard bound.
@@ -68,7 +68,6 @@ class SweepOptions:
 @dataclass(frozen=True)
 class OracleOptions:
     t_final: float | None = None
-    tol: float = 1e-10
     omega_a_scan: tuple[float, ...] = (0.1, 0.3, 1.0)
 
 
@@ -229,10 +228,9 @@ def parse_config(data: dict) -> RunConfig:
     )
 
     co = data.get("check_oracle", {})
-    _check_keys(co, {"t_final", "tol", "omega_a_scan"}, "check_oracle")
+    _check_keys(co, {"t_final", "omega_a_scan"}, "check_oracle")
     oracle_options = OracleOptions(
         t_final=_number(co, "t_final", _ORACLE.t_final, "check_oracle", optional=True),
-        tol=_number(co, "tol", _ORACLE.tol, "check_oracle"),
         omega_a_scan=_parse_values(co, "omega_a_scan", _ORACLE.omega_a_scan, "check_oracle"),
     )
 
@@ -273,7 +271,6 @@ def dump_config(config: RunConfig) -> dict:
         },
         "check_oracle": {
             "t_final": config.oracle_options.t_final,
-            "tol": config.oracle_options.tol,
             "omega_a_scan": list(config.oracle_options.omega_a_scan),
         },
         "format": config.format,
@@ -385,7 +382,7 @@ def cmd_check_oracle(config: RunConfig) -> tuple[list[dict], bool]:
                 t_final = gate_time(p, PhaseTarget(math.pi)) / max(p.omega_a, 1e-300)
             except GateModelError:
                 t_final = 200.0 / p.gamma_20 if p.gamma_20 > 0 else 200.0
-        rep = verify_qss(p, t_final, opts.tol)
+        rep = verify_qss(p, t_final)
         entry = {
             "omega_a_over_gamma_20": s,
             "t_final": t_final,
@@ -469,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--suppression", type=float, help="gamma_40/gamma_20 ratio")
 
     common(sub.add_parser("sweep", help="trade-off table over a grid"))
-    common(sub.add_parser("check-oracle", help="integrate the chain and compare"))
+    common(sub.add_parser("check-oracle", help="solve the chain and compare"))
     return parser
 
 

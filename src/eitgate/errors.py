@@ -33,8 +33,8 @@ class NotAttainable(GateModelError):
     """The requested error target lies below the coherent-spread floor."""
 
 
-class StepSizeUnderflow(GateModelError):
-    """Integrator cannot resolve the dynamics at this tolerance; rescale units."""
+class NearExceptionalPoint(GateModelError):
+    """The chain generator's eigenvectors nearly coalesce; its eigenbasis is unusable."""
 
 
 class MonotonicityViolation(GateModelError):

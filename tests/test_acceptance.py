@@ -116,7 +116,7 @@ def test_criterion_3_oracle_equivalence(rng):
     p = SystemParams(omega_a_tilde=0.1, omega_b_tilde=3.0, omega_c_tilde=3.0,
                      n_a=1, n_c=1, nu_a=0.0, nu_b=0.0, nu_c=30.0,
                      gamma_10=1e-6, gamma_20=1.0, gamma_30=1e-6, gamma_40=1.0)
-    report = verify_qss(p, PI / abs(w10(p).phase_rate), tol=1e-10)
+    report = verify_qss(p, PI / abs(w10(p).phase_rate))
     elapsed = time.monotonic() - start
     checks = [
         ("adiabatic-elimination identity <= 1e-10 on 1000 random sets",

@@ -206,6 +206,13 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"system": {"nu_z": 1.0}}))
         assert main(["eval", "--config", str(cfg)]) == 2
 
+    def test_retired_oracle_tol_key_exits_2(self, tmp_path, capsys):
+        # the exact propagator has no tolerance; old configs fail by name
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"check_oracle": {"tol": 1e-10}}))
+        assert main(["check-oracle", "--config", str(cfg)]) == 2
+        assert "check_oracle.tol" in capsys.readouterr().err
+
     def test_check_oracle_no_probe(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(
@@ -220,7 +227,8 @@ class TestMainEntry:
             {"system": {"gamma_20": 1e12, "gamma_10": 1.0, "nu_c": 3e13},
              "check_oracle": {"t_final": 1.0}}))
         assert main(["check-oracle", "--config", str(cfg)]) == 3
-        assert "StepSizeUnderflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "InvalidInput" in err and "underflows" in err
 
 
 class TestCheckOracle:
@@ -237,6 +245,6 @@ class TestCheckOracle:
         reports, _ = cmd_check_oracle(config)
         from dataclasses import replace
         p = replace(config.system, omega_a_tilde=0.3 * config.system.gamma_20)
-        rep = verify_qss(p, 500.0, config.oracle_options.tol)
+        rep = verify_qss(p, 500.0)
         assert reports[0]["max_rel_deviation"] == rep.max_rel_deviation
         assert reports[0]["final_phase_error"] == rep.final_phase_error

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eitgate import (DegenerateDenominator, DivisionByZero, InvalidInput,
                      RegimeWarning, SystemParams, kerr_approximation, rho10_at,
                      w10)
-from conftest import random_physical_params, w10_continued_fraction
+from conftest import cf_denominator_scale, random_physical_params, w10_continued_fraction
 
 
 def params(**kwargs):
@@ -68,6 +70,23 @@ class TestEnsembleInvariants:
         for _ in range(2_000):
             p = random_physical_params(rng)
             assert w10(p).absorption_rate >= -1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(amps=st.tuples(*[st.floats(0.0, 100.0)] * 3),
+           detunings=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+           rates=st.tuples(*[st.floats(0.0, 10.0)] * 4))
+    def test_passivity_property(self, amps, detunings, rates):
+        # W10 = i |Omega_a|^2 / z with Re z >= 0 for nonnegative rates; where
+        # Re z is exactly 0 the closed form may round below 0, by at most a few
+        # eps |W10| times the cancellation factor of its denominator
+        p = params(omega_a_tilde=amps[0], omega_b_tilde=amps[1], omega_c_tilde=amps[2],
+                   nu_a=detunings[0], nu_b=detunings[1], nu_c=detunings[2],
+                   gamma_10=rates[0], gamma_20=rates[1], gamma_30=rates[2],
+                   gamma_40=rates[3])
+        den, scale = cf_denominator_scale(p)
+        assume(scale > 0 and den > 1e-4 * scale)
+        w = w10(p)
+        assert w.absorption_rate >= -8 * np.finfo(float).eps * abs(w.value) * scale / den
 
     def test_three_level_reduction(self, rng):
         for _ in range(500):
