@@ -55,8 +55,7 @@ class GateDesign:
             raise InvalidInput(f"alpha_b must be >= 0, got {self.alpha_b}")
         if self.phi <= 0:
             raise InvalidInput(f"phi must be > 0, got {self.phi}")
-        if self.time_norm < 0:
-            raise InvalidInput(f"time_norm must be >= 0, got {self.time_norm}")
+        _check_time(self.time_norm)
         if self.suppression <= 0:
             raise InvalidInput(f"suppression must be > 0, got {self.suppression}")
         _check_alpha_c(self.alpha_c)
@@ -77,6 +76,18 @@ def _check_alpha_c(alpha_c: float | None) -> None:
         raise InvalidInput(f"alpha_c must be > 0, got {alpha_c}")
 
 
+def _check_time(time_norm: float) -> None:
+    if not math.isfinite(time_norm):
+        raise InvalidInput(f"time_norm must be finite, got {time_norm}")
+    if time_norm < 0:
+        raise InvalidInput(f"time_norm must be >= 0, got {time_norm}")
+
+
+def _check_fidelity(fidelity: float) -> None:
+    if not 0.0 <= fidelity <= 1.0 + 1e-12:
+        raise InvalidInput(f"fidelity out of [0, 1]: {fidelity}")
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Gate error 1 - F^2 split into decoherence and coherent-spread parts."""
@@ -88,8 +99,7 @@ class ErrorBudget:
 
     def __post_init__(self):
         _check_finite(self)
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
-            raise InvalidInput(f"fidelity out of [0, 1]: {self.fidelity}")
+        _check_fidelity(self.fidelity)
         if abs(self.delta_total - (1.0 - self.fidelity ** 2)) > 1e-9:
             raise InvalidInput("delta_total inconsistent with 1 - fidelity^2")
 
@@ -135,6 +145,28 @@ def _response_grid(params: SystemParams, omega_b, omega_c):
     return np.where(bad, 0.0, num) / np.where(bad, 1.0, den)
 
 
+def _overlap(params: SystemParams, nt: float, omega_b, omega_c, weights):
+    """Weighted sum of exp(-i phi_n - tau_n) over a block of Fock components.
+
+    The one Fock-sum kernel.  Component n has the exact response at drive
+    omega_b[n] and signal omega_c[n] (broadcast against each other) and
+    picks up the phase phi_n and the damping tau_n over nt = N t.  Returns
+    the sum with the phases and damping exponents, from which _fock_sum adds
+    the spread-only and damping-only sums; _two_qubit_delta needs the sum
+    alone.
+    """
+    w = _response_grid(params, omega_b, omega_c)
+    phases = -np.real(w) * nt
+    taus = (params.gamma_10 + np.imag(w)) * nt
+    return np.sum(weights * np.exp(-1j * phases - taus)), phases, taus
+
+
+def _fidelity(m_full, wsum: float) -> float:
+    # the builtins return their first argument when a comparison with NaN is
+    # false, so the sum comes first and a NaN reaches _check_fidelity
+    return min(float(np.abs(m_full / wsum)), 1.0)
+
+
 def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBudget:
     """Error budget from the Poisson-weighted sum over (n_b, n_c) components.
 
@@ -155,17 +187,13 @@ def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBu
     for i in range(0, len(nb), block):
         rows = slice(i, min(i + block, len(nb)))
         omega_b = params.omega_b_tilde * np.sqrt(nb[rows])[:, None]
-        w = _response_grid(params, omega_b, omega_c)
-        phases = -np.real(w) * nt
-        taus = (params.gamma_10 + np.imag(w)) * nt
         weights = pb[rows][:, None] * pc[None, :]
-        m_full += np.sum(weights * np.exp(-1j * phases - taus))
+        m, phases, taus = _overlap(params, nt, omega_b, omega_c, weights)
+        m_full += m
         m_spread += np.sum(weights * np.exp(-1j * phases))
         m_damp += float(np.sum(weights * np.exp(-taus)))
         wsum += float(np.sum(weights))
-    # the builtins return their first argument when a comparison with NaN is
-    # false, so the sum comes first and a NaN reaches ErrorBudget's check
-    fid = min(float(np.abs(m_full / wsum)), 1.0)
+    fid = _fidelity(m_full, wsum)
     return ErrorBudget(
         delta_decoherence=max(1.0 - min(float(m_damp / wsum), 1.0) ** 2, 0.0),
         delta_coherent_spread=max(1.0 - min(float(np.abs(m_spread / wsum)), 1.0) ** 2, 0.0),
@@ -174,22 +202,74 @@ def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBu
     )
 
 
+def _window(windows: dict, alpha_b: float):
+    """The table's entry for alpha_b, built and stored if missing.
+
+    An entry is the Poisson window (n_b, P(n_b)) of mode b followed by what
+    a two-qubit sum over it reads at every point: sqrt(n_b) and the weights
+    as columns, and the weights' sum.  The window is built through the
+    module name _poisson_window, so a tracer sees every build.
+    """
+    if alpha_b not in windows:
+        nb, pb, _ = _poisson_window(alpha_b ** 2)
+        weights = pb[:, None]
+        windows[alpha_b] = nb, pb, np.sqrt(nb)[:, None], weights, float(np.sum(weights))
+    return windows[alpha_b]
+
+
 def _two_qubit_budget(params: SystemParams, design: GateDesign,
                       windows: dict | None = None) -> ErrorBudget:
     """Error budget at a two-qubit design.
 
     The interaction time is the design's, calibrated by design_point; mode c
     holds the single Fock component n_c.  windows maps alpha_b to its Poisson
-    window; a missing entry is built and stored, so a design search that
-    passes one table builds each window once.
+    window (see _window); a missing entry is built and stored, so a design
+    search that passes one table builds each window once.
     """
-    if windows is None:
-        windows = {}
-    if design.alpha_b not in windows:
-        windows[design.alpha_b] = _poisson_window(design.alpha_b ** 2)
-    nb, pb, _ = windows[design.alpha_b]
+    nb, pb, *_ = _window({} if windows is None else windows, design.alpha_b)
     return _fock_sum(replace(params, nu_c=design.nu_c), design.time_norm, nb, pb,
                      np.array([params.n_c]), np.array([1.0]))
+
+
+def _unchecked(params: SystemParams, **changes) -> SystemParams:
+    """replace(params, **changes) without running SystemParams' checks again.
+
+    Only for values that are already checked: a design search validates its
+    system once, then moves nu_c and the drive amplitude point by point.
+    """
+    view = object.__new__(SystemParams)
+    view.__dict__.update(vars(params), **changes)
+    return view
+
+
+def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
+                     windows: dict) -> float:
+    """delta_total of _two_qubit_budget(params, design_point(params, nu_c,
+    alpha_b, phi), windows), bit for bit, without the design or the budget.
+
+    The design searches call this at every point.  It shares the full path's
+    time calibration (gate_time at the mean component), window table and
+    kernel (_overlap), and raises the same error class wherever
+    the full path does: for a non-finite nu_c or alpha_b, a degenerate or
+    zero phase rate at the mean component, a negative or non-finite time and
+    a non-finite or out-of-range fidelity.  params itself, fixed for a whole
+    search, is not checked again.
+    """
+    omega_b = params.omega_b_tilde * alpha_b
+    if not (math.isfinite(nu_c) and alpha_b >= 0 and math.isfinite(omega_b)):
+        raise InvalidInput(f"nu_c and alpha_b must be finite and alpha_b >= 0, "
+                           f"got {nu_c} and {alpha_b}")
+    mean = _unchecked(params, nu_c=nu_c, omega_b_tilde=omega_b)
+    time_norm = gate_time(mean, PhaseTarget(phi))
+    _check_time(time_norm)
+    _, _, sqrt_nb, weights, wsum = _window(windows, alpha_b)
+    m, _, _ = _overlap(_unchecked(params, nu_c=nu_c), time_norm / params.omega_a,
+                       params.omega_b_tilde * sqrt_nb,
+                       params.omega_c_tilde * np.sqrt(np.array([params.n_c]))[None, :],
+                       weights)
+    fid = _fidelity(m, wsum)
+    _check_fidelity(fid)
+    return 1.0 - fid ** 2
 
 
 def _gauss_charlier(mu: float, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .analytic_design import PhaseTarget, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
-                            _two_qubit_budget, design_point, min_alpha_b)
+                            _two_qubit_budget, _two_qubit_delta, _unchecked,
+                            design_point, min_alpha_b)
 from .core_model import SystemParams
 from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
                      NoConvergence, NotAttainable, RegimeWarning)
@@ -149,7 +150,7 @@ def _nu_bracket(params: SystemParams, alpha_b: float,
                 constraints: OptimizationConstraints) -> tuple[float, float]:
     if constraints.nu_c_range is not None:
         return constraints.nu_c_range
-    mean = replace(params, omega_b_tilde=params.omega_b_tilde * alpha_b)
+    mean = _unchecked(params, omega_b_tilde=params.omega_b_tilde * alpha_b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         seed = optimal_detuning(mean)
@@ -158,24 +159,26 @@ def _nu_bracket(params: SystemParams, alpha_b: float,
 
 def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
                       constraints: OptimizationConstraints, windows: dict):
-    """(design, budget) minimizing delta_total over nu_c at fixed alpha_b."""
-    def evaluate(nu):
-        design = design_point(params, nu, alpha_b, constraints.phi)
-        return design, _two_qubit_budget(params, design, windows)
+    """(nu_c, delta_total) minimizing delta_total over nu_c at fixed alpha_b."""
+    def delta_at(nu):
+        return _two_qubit_delta(params, nu, alpha_b, constraints.phi, windows)
 
-    lo, hi = _nu_bracket(params, alpha_b, constraints)
-    return evaluate(_golden_min(lambda nu: evaluate(nu)[1].delta_total, lo, hi))
+    nu = _golden_min(delta_at, *_nu_bracket(params, alpha_b, constraints))
+    return nu, delta_at(nu)
 
 
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
                         windows: dict):
     """Grid-over-alpha / golden-over-nu minimization of the total error.
 
-    windows is the Poisson-window table of the calling design run (see
-    _two_qubit_budget); the windows depend on alpha_b alone, so every search
-    of the run shares it.
+    Every point of the search is ranked by _two_qubit_delta alone; the full
+    design and budget are built once, at the result.  windows is the
+    Poisson-window table of the calling design run (see _two_qubit_budget);
+    the windows depend on alpha_b alone, so every search of the run shares
+    it.
     """
     params = base_params(constraints, gamma_10)
+    phi = constraints.phi
     a_lo, a_hi = constraints.alpha_b_range
     integers = np.arange(math.ceil(a_lo), math.floor(a_hi) + 1, dtype=float)
     if len(integers) == 0:
@@ -185,8 +188,7 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
     # default bracket the center is exactly the closed-form optimum
     def at_seed(alpha):
         lo, hi = _nu_bracket(params, alpha, constraints)
-        design = design_point(params, math.sqrt(lo * hi), alpha, constraints.phi)
-        return _two_qubit_budget(params, design, windows).delta_total
+        return _two_qubit_delta(params, math.sqrt(lo * hi), alpha, phi, windows)
 
     coarse = np.array([at_seed(a) for a in integers])
     order = np.argsort(coarse, kind="stable")[:4]
@@ -196,22 +198,25 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
             if 0 <= j < len(integers):
                 candidates.add(float(integers[j]))
 
+    # best is (delta_total, alpha_b, nu_c)
     best = None
     for alpha in sorted(candidates):
-        design, budget = _two_qubit_min_nu(params, alpha, constraints, windows)
-        if best is None or budget.delta_total < best[1].delta_total:
-            best = (design, budget)
+        nu, delta = _two_qubit_min_nu(params, alpha, constraints, windows)
+        if best is None or delta < best[0]:
+            best = (delta, alpha, nu)
 
     # 0.1 refinement around the best integer
-    a0 = best[0].alpha_b
+    a0 = best[1]
     for alpha in np.arange(max(a_lo, a0 - 1.0), min(a_hi, a0 + 1.0) + 1e-9, 0.1):
-        design, budget = _two_qubit_min_nu(params, round(float(alpha), 10), constraints,
-                                           windows)
-        if budget.delta_total < best[1].delta_total:
-            best = (design, budget)
+        alpha = round(float(alpha), 10)
+        nu, delta = _two_qubit_min_nu(params, alpha, constraints, windows)
+        if delta < best[0]:
+            best = (delta, alpha, nu)
 
-    design, budget = best
-    at_edge = design.alpha_b <= integers[0] or design.alpha_b >= integers[-1]
+    _, alpha, nu = best
+    design = design_point(params, nu, alpha, phi)
+    budget = _two_qubit_budget(params, design, windows)
+    at_edge = alpha <= integers[0] or alpha >= integers[-1]
     return params, design, budget, at_edge
 
 
@@ -227,12 +232,10 @@ def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
                       (design.nu_c * 0.95, design.alpha_b),
                       (design.nu_c, design.alpha_b * 1.05),
                       (design.nu_c, design.alpha_b * 0.95)):
-        perturbed = _two_qubit_budget(params,
-                                      design_point(params, nu, alpha, constraints.phi),
-                                      windows)
-        if perturbed.delta_total < value - _CERT_SLACK:
+        perturbed = _two_qubit_delta(params, nu, alpha, constraints.phi, windows)
+        if perturbed < value - _CERT_SLACK:
             raise NoConvergence(
-                f"local-minimum certificate failed: delta {perturbed.delta_total:.6f} "
+                f"local-minimum certificate failed: delta {perturbed:.6f} "
                 f"< {value:.6f} - {_CERT_SLACK} at nu_c={nu:.6g}, alpha_b={alpha:.6g}")
     return design, budget
 

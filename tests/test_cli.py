@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitgate import (PhaseTarget, asymptotic_design,
                      fock_dephasing_bound, gate_time, kerr_approximation,
@@ -11,6 +13,33 @@ from eitgate.cli import (ConfigError, cmd_check_oracle, cmd_design,
                          parse_config)
 
 PI = math.pi
+
+
+_NUMBER = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_POSITIVE = st.floats(1e-6, 1e6)
+_RATE = st.floats(0.0, 10.0)
+
+
+def _ordered_pair(low):
+    """[lo, hi] with low <= lo < hi."""
+    return st.tuples(st.floats(low, 1e3), st.floats(1e-3, 1e3)).map(
+        lambda t: [t[0], t[0] + t[1]])
+
+
+_SYSTEM_FIELDS = {
+    "omega_a_tilde": _POSITIVE, "omega_b_tilde": _POSITIVE, "omega_c_tilde": _POSITIVE,
+    "n_a": st.integers(0, 1000), "n_c": st.integers(0, 1000),
+    "nu_a": _NUMBER, "nu_b": _NUMBER, "nu_c": _NUMBER,
+    "gamma_10": _RATE, "gamma_20": _RATE, "gamma_30": _RATE, "gamma_40": _RATE,
+    "n_atoms": st.integers(1, 10 ** 6),
+}
+_CONSTRAINTS = st.fixed_dictionaries({}, optional={
+    "omega_a_over_gamma_20": _POSITIVE, "omega_b_sq_over_omega_c_sq": _POSITIVE,
+    "suppression": _POSITIVE, "phi": _POSITIVE, "alpha_c_over_alpha_b": _POSITIVE,
+    "nu_c_range": _ordered_pair(1e-6), "alpha_b_range": _ordered_pair(0.0),
+    "mode": st.sampled_from(["two-qubit", "one-qubit"]),
+})
 
 
 class TestConfigParsing:
@@ -33,6 +62,22 @@ class TestConfigParsing:
         second = parse_config(dump_config(first))
         assert first == second
         assert dump_config(first) == dump_config(second)
+
+    @pytest.mark.filterwarnings("ignore::eitgate.errors.RegimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.fixed_dictionaries({}, optional={
+        "system": st.fixed_dictionaries({}, optional=_SYSTEM_FIELDS),
+        "constraints": _CONSTRAINTS,
+        "sweep": st.fixed_dictionaries({}, optional={
+            "quantity": st.sampled_from(["gamma_10", "delta_target"]),
+            "values": st.lists(_NUMBER, min_size=1, max_size=4),
+            "constraint_sets": st.lists(_CONSTRAINTS, max_size=3),
+        }),
+    }))
+    def test_round_trip_property(self, doc):
+        # nu_c_range may be present or absent, at the top and in each set
+        config = parse_config(doc)
+        assert parse_config(dump_config(config)) == config
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="system.nu_z"):

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eitgate import (InvalidInput, NotAttainable, OptimizationConstraints,
-                     SweepSpec, base_params, design_point, gate_error, max_dephasing,
+from eitgate import (DegenerateDenominator, GateModelError, InvalidInput, NotAttainable,
+                     OptimizationConstraints, SweepSpec, SystemParams, ZeroPhaseRate,
+                     base_params, design_point, gate_error, max_dephasing,
                      optimal_detuning, optimize_design, sweep, sweep_to_csv,
                      sweep_to_json)
 from eitgate import coherent_gate, design_optimizer
-from eitgate.coherent_gate import _two_qubit_budget
+from eitgate.coherent_gate import _two_qubit_budget, _two_qubit_delta
 from eitgate.design_optimizer import SWEEP_COLUMNS
 
 PI = math.pi
@@ -87,6 +90,61 @@ class TestOptimizeDesign:
             optimize_design(0.0, OptimizationConstraints())
 
 
+def _raised(call):
+    try:
+        call()
+    except GateModelError as exc:
+        return type(exc)
+    return None
+
+
+class TestSearchPath:
+    """The searches rank points by _two_qubit_delta; it is the full budget's
+    delta_total, bit for bit, and fails wherever the full path fails."""
+
+    # the integer prescan grid and the 0.1 refinement steps
+    ALPHAS = st.one_of(st.integers(1, 150).map(float),
+                       st.integers(10, 1500).map(lambda k: round(k * 0.1, 10)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(log_gamma=st.floats(-9.0, -2.0), suppression=st.sampled_from([1.0, 1e-3]),
+           alpha=ALPHAS, position=st.floats(0.0, 1.0))
+    def test_delta_equals_full_budget(self, log_gamma, suppression, alpha, position):
+        cs = OptimizationConstraints(suppression=suppression)
+        p = base_params(cs, 10.0 ** log_gamma)
+        # nu_c anywhere in the golden search's bracket, on its log axis
+        lo, hi = design_optimizer._nu_bracket(p, alpha, cs)
+        nu = math.exp(math.log(lo) + position * (math.log(hi) - math.log(lo)))
+        full = _two_qubit_budget(p, design_point(p, nu, alpha, cs.phi)).delta_total
+        assert _two_qubit_delta(p, nu, alpha, cs.phi, {}) == full
+
+    LOSSLESS = dict(omega_a_tilde=1.0, omega_b_tilde=1.0, omega_c_tilde=1.0, n_a=1,
+                    n_c=1, nu_a=0.0, nu_b=0.0, nu_c=10.0, gamma_10=0.0, gamma_20=0.0,
+                    gamma_30=0.0, gamma_40=0.0)
+
+    @pytest.mark.parametrize("case, nu, alpha, expected", [
+        ("non-finite nu_c", math.nan, 12.0, InvalidInput),
+        ("negative alpha_b", 100.0, -1.0, InvalidInput),
+        ("Re W10 = 0 on resonance", 0.0, 12.0, ZeroPhaseRate),
+        ("negative time below resonance", -50.0, 12.0, InvalidInput),
+        ("undriven lossless mean component", 10.0, 0.0, DegenerateDenominator),
+        ("non-finite sum", 100.0, 12.0, InvalidInput),
+    ])
+    def test_raises_as_full_path(self, monkeypatch, case, nu, alpha, expected):
+        if case.startswith("undriven"):
+            p = SystemParams(**self.LOSSLESS)
+        else:
+            p = base_params(OptimizationConstraints(), 1e-6)
+        if case == "non-finite sum":
+            monkeypatch.setattr(coherent_gate, "_response_grid",
+                                lambda params, omega_b, omega_c: np.full(
+                                    np.broadcast_shapes(omega_b.shape, omega_c.shape),
+                                    math.nan))
+        full = _raised(lambda: _two_qubit_budget(p, design_point(p, nu, alpha, PI)))
+        assert full is expected
+        assert _raised(lambda: _two_qubit_delta(p, nu, alpha, PI, {})) is expected
+
+
 class TestMaxDephasing:
     def test_monotone_inversion(self):
         cs = OptimizationConstraints(suppression=1.0)
@@ -109,16 +167,24 @@ class TestMaxDephasing:
             windows.append(mu)
             return window(mu)
 
+        # every alpha_b whose window a search reads, through the full budget
+        # or the delta-only path
         alphas = set()
         two_qubit_budget = design_optimizer._two_qubit_budget
+        two_qubit_delta = design_optimizer._two_qubit_delta
 
-        def recorded(params, design, *args):
+        def recorded_budget(params, design, *args):
             alphas.add(design.alpha_b)
             return two_qubit_budget(params, design, *args)
 
+        def recorded_delta(params, nu_c, alpha_b, *args):
+            alphas.add(alpha_b)
+            return two_qubit_delta(params, nu_c, alpha_b, *args)
+
         monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", counted)
         monkeypatch.setattr(coherent_gate, "_poisson_window", counted_window)
-        monkeypatch.setattr(design_optimizer, "_two_qubit_budget", recorded)
+        monkeypatch.setattr(design_optimizer, "_two_qubit_budget", recorded_budget)
+        monkeypatch.setattr(design_optimizer, "_two_qubit_delta", recorded_delta)
         cs = OptimizationConstraints(suppression=1.0)
         gamma, design, budget = max_dephasing(0.2, cs)
         # all searches of one call share one window table: each distinct
