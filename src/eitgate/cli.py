@@ -14,34 +14,25 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
+import types
+import typing
 from dataclasses import dataclass, replace
 
 from .analytic_design import (PhaseTarget, asymptotic_design, decoherence_error,
                               fock_dephasing_bound, gate_time, optimal_detuning,
                               tau_eff)
-from .coherent_gate import ONE_QUBIT, TWO_QUBIT
 from .core_model import SystemParams, kerr_approximation, w10
 from .design_optimizer import (OptimizationConstraints, SweepSpec, max_dephasing,
                                optimize_design, sweep, sweep_to_csv, sweep_to_json)
-from .errors import ConfigError, GateModelError
+from .errors import ConfigError, GateModelError, InvalidInput
 from .lindblad_oracle import verify_qss
 
 ORACLE_HARD_BOUND = 0.01        # max_rel_deviation allowed at omega_a = 0.1 gamma_20
 ORACLE_HARD_POINT = 0.1
-
-_SYSTEM_DEFAULTS = dict(
-    omega_a_tilde=1.0, omega_b_tilde=3.0, omega_c_tilde=3.0,
-    n_a=1, n_c=1,
-    nu_a=0.0, nu_b=0.0, nu_c=30.0,
-    gamma_10=1e-6, gamma_20=1.0, gamma_30=0.0, gamma_40=1.0,
-    n_atoms=1,
-)
-_SYSTEM_INT_FIELDS = {"n_a", "n_c", "n_atoms"}
-
-_CONSTRAINT_DEFAULTS = dataclasses.asdict(OptimizationConstraints())
 
 
 @dataclass(frozen=True)
@@ -51,15 +42,22 @@ class EvalOptions:
     n_b: int = 100
     kerr: bool = True
 
+    def __post_init__(self):
+        fock_dephasing_bound(self.delta, PhaseTarget(self.phi), self.n_b)  # raises when out of range
+
 
 @dataclass(frozen=True)
 class DesignOptions:
-    delta_target: float | None = 0.2
+    """Exactly one of the two is set; a `design` block that names one leaves the other null."""
+
+    delta_target: float | None = None
     gamma_10: float | None = None
 
 
 @dataclass(frozen=True)
-class SweepOptions:
+class SweepOptions(SweepSpec):
+    """A sweep grid, validated as a `SweepSpec`, and the constraint sets it runs over."""
+
     quantity: str = "delta_target"
     values: tuple[float, ...] = (0.2,)
     constraint_sets: tuple[OptimizationConstraints, ...] = ()
@@ -70,214 +68,117 @@ class OracleOptions:
     t_final: float | None = None
     omega_a_scan: tuple[float, ...] = (0.1, 0.3, 1.0)
 
-
-_EVAL, _DESIGN, _SWEEP, _ORACLE = EvalOptions(), DesignOptions(), SweepOptions(), OracleOptions()
+    def __post_init__(self):
+        if not self.omega_a_scan or min(self.omega_a_scan) < 0:
+            raise InvalidInput(f"omega_a_scan must be a non-empty list of values >= 0, "
+                               f"got {list(self.omega_a_scan)}")
+        if self.t_final is not None and self.t_final <= 0:
+            raise InvalidInput(f"t_final must be > 0, got {self.t_final}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; round-trips losslessly through JSON."""
+    """Validated run configuration; each field name is its JSON key.
 
-    system: SystemParams
-    constraints: OptimizationConstraints
-    eval_options: EvalOptions
-    design_options: DesignOptions
-    sweep_options: SweepOptions
-    oracle_options: OracleOptions
+    `constraints` precedes `sweep`, so that each constraint set inherits
+    from it (see `_parse_block`).
+    """
+
+    system: SystemParams = SystemParams()
+    constraints: OptimizationConstraints = OptimizationConstraints()
+    eval: EvalOptions = EvalOptions()
+    design: DesignOptions = DesignOptions(delta_target=0.2)
+    sweep: SweepOptions = SweepOptions()
+    check_oracle: OracleOptions = OracleOptions()
     format: str = "json"
     out: str | None = None
     verbose: bool = False
     raw: bool = False
 
-
-def _check_keys(block: dict, allowed, path: str) -> None:
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path else
-                              f"unknown key '{key}'")
+    def __post_init__(self):
+        if self.format not in ("json", "csv"):
+            raise InvalidInput(f"format must be 'json' or 'csv', got {self.format!r}")
 
 
-def _is_finite_number(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
+@functools.cache
+def _schema(cls) -> tuple[dict, set, object]:
+    """Field types, names of the nested-block fields and default instance of a block class."""
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+    return fields, {n for n, h in fields.items() if dataclasses.is_dataclass(h)}, cls()
 
 
-def _number(block: dict, key: str, default, path: str, integer=False, optional=False):
-    if key not in block or block[key] is None:
-        if optional and (key in block or default is None):
-            return None if key in block else default
-        return default
-    value = block[key]
-    if not _is_finite_number(value):
-        raise ConfigError(f"'{path}.{key}' must be a finite number, got {value!r}")
-    if integer:
-        if int(value) != value:
-            raise ConfigError(f"'{path}.{key}' must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
+def _parse_block(cls, data, path: str, scope: dict):
+    """Parse one JSON object into the dataclass `cls`; unknown keys fail by name.
 
-
-def _pair(block: dict, key: str, default, path: str):
-    if key not in block or block[key] is None:
-        return default
-    value = block[key]
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_is_finite_number(v) for v in value)):
-        raise ConfigError(f"'{path}.{key}' must be a pair of finite numbers, got {value!r}")
-    return (float(value[0]), float(value[1]))
-
-
-def _parse_system(block: dict, path="system") -> SystemParams:
-    _check_keys(block, _SYSTEM_DEFAULTS, path)
+    A key absent from the block takes its value from the nearest block of
+    the same class already parsed at an enclosing level (`scope`), else from
+    the class defaults.  So each constraint set inherits from the top-level
+    `constraints`, and a `design` block that names one key leaves the other
+    null.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{path}' must be an object")
+    fields, blocks, default = _schema(cls)
+    for key in data:
+        if key not in fields:
+            raise ConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
+    base = scope.get(cls, default)
+    scope = dict(scope)
     kwargs = {}
-    for key, default in _SYSTEM_DEFAULTS.items():
-        kwargs[key] = _number(block, key, default, path,
-                              integer=key in _SYSTEM_INT_FIELDS)
-    try:
-        return SystemParams(**kwargs)
-    except GateModelError as exc:
-        raise ConfigError(f"invalid '{path}' block: {exc}") from exc
-
-
-def _parse_constraints(block: dict, base: OptimizationConstraints | None = None,
-                       path="constraints") -> OptimizationConstraints:
-    _check_keys(block, _CONSTRAINT_DEFAULTS, path)
-    base_kwargs = (dataclasses.asdict(base) if base is not None
-                   else dict(_CONSTRAINT_DEFAULTS))
-    kwargs = {}
-    for key, default in base_kwargs.items():
-        if key == "mode":
-            value = block.get(key, default)
-            if value not in (TWO_QUBIT, ONE_QUBIT):
-                raise ConfigError(f"'{path}.mode' must be '{TWO_QUBIT}' or "
-                                  f"'{ONE_QUBIT}', got {value!r}")
-            kwargs[key] = value
-        elif key in ("nu_c_range", "alpha_b_range"):
-            kwargs[key] = _pair(block, key, tuple(default) if default else default, path)
+    for name, hint in fields.items():
+        if name in data:
+            value = _parse(hint, data[name], f"{path}.{name}" if path else name, scope)
         else:
-            kwargs[key] = _number(block, key, default, path)
+            value = getattr(base, name)
+        if name in blocks:
+            scope[hint] = value
+        kwargs[name] = value
     try:
-        return OptimizationConstraints(**kwargs)
+        return cls(**kwargs)
     except GateModelError as exc:
-        raise ConfigError(f"invalid '{path}' block: {exc}") from exc
+        raise ConfigError(f"invalid '{path}' block: {exc}" if path else
+                          f"invalid configuration: {exc}") from exc
 
 
-def _parse_values(block: dict, key: str, default, path: str) -> tuple[float, ...]:
-    if key not in block:
-        return default
-    value = block[key]
-    if (not isinstance(value, (list, tuple)) or len(value) == 0
-            or not all(_is_finite_number(v) for v in value)):
-        raise ConfigError(f"'{path}.{key}' must be a non-empty list of finite numbers")
-    return tuple(float(v) for v in value)
+def _parse(hint, value, path: str, scope: dict):
+    """Parse one JSON value as the type `hint`; null is allowed only for `X | None`."""
+    if hint is float or hint is int:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"'{path}' must be a finite number, got {value!r}")
+        if hint is float:
+            return float(value)
+        if int(value) != value:
+            raise ConfigError(f"'{path}' must be an integer, got {value!r}")
+        return int(value)
+    if hint is bool or hint is str:
+        if not isinstance(value, hint):
+            raise ConfigError(f"'{path}' must be a {hint.__name__}, got {value!r}")
+        return value
+    if dataclasses.is_dataclass(hint):
+        return _parse_block(hint, value, path, scope)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:                   # every union is `X | None`
+        return None if value is None else _parse(args[0], value, path, scope)
+    variable = args[-1] is Ellipsis                 # the rest are tuple hints
+    if not isinstance(value, (list, tuple)) or not (variable or len(value) == len(args)):
+        raise ConfigError(f"'{path}' must be a list" + ("" if variable else
+                          f" of {len(args)} items") + f", got {value!r}")
+    return tuple(_parse(args[0] if variable else args[i], item, f"{path}[{i}]", scope)
+                 for i, item in enumerate(value))
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a configuration document; unknown keys are rejected by name."""
+    """Validate a configuration document against the `RunConfig` dataclasses."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
-    top_keys = {"system", "constraints", "eval", "design", "sweep",
-                "check_oracle", "format", "out", "verbose", "raw"}
-    _check_keys(data, top_keys, "")
-    for key in ("system", "constraints", "eval", "design", "sweep", "check_oracle"):
-        if key in data and not isinstance(data[key], dict):
-            raise ConfigError(f"'{key}' must be an object")
-
-    system = _parse_system(data.get("system", {}))
-    constraints = _parse_constraints(data.get("constraints", {}))
-
-    ev = data.get("eval", {})
-    _check_keys(ev, {"phi", "delta", "n_b", "kerr"}, "eval")
-    kerr = ev.get("kerr", _EVAL.kerr)
-    if not isinstance(kerr, bool):
-        raise ConfigError(f"'eval.kerr' must be a boolean, got {kerr!r}")
-    eval_options = EvalOptions(
-        phi=_number(ev, "phi", _EVAL.phi, "eval"),
-        delta=_number(ev, "delta", _EVAL.delta, "eval"),
-        n_b=_number(ev, "n_b", _EVAL.n_b, "eval", integer=True),
-        kerr=kerr,
-    )
-
-    dz = data.get("design", {})
-    _check_keys(dz, {"delta_target", "gamma_10"}, "design")
-    design_options = DesignOptions(
-        delta_target=_number(dz, "delta_target", _DESIGN.delta_target, "design",
-                             optional=True),
-        gamma_10=_number(dz, "gamma_10", _DESIGN.gamma_10, "design", optional=True),
-    )
-
-    sw = data.get("sweep", {})
-    _check_keys(sw, {"quantity", "values", "constraint_sets"}, "sweep")
-    quantity = sw.get("quantity", _SWEEP.quantity)
-    if quantity not in ("gamma_10", "delta_target"):
-        raise ConfigError(f"'sweep.quantity' must be 'gamma_10' or 'delta_target', "
-                          f"got {quantity!r}")
-    sets = sw.get("constraint_sets", [])
-    if not isinstance(sets, (list, tuple)):
-        raise ConfigError("'sweep.constraint_sets' must be a list of objects")
-    parsed_sets = []
-    for i, block in enumerate(sets):
-        if not isinstance(block, dict):
-            raise ConfigError(f"'sweep.constraint_sets[{i}]' must be an object")
-        parsed_sets.append(_parse_constraints(block, base=constraints,
-                                              path=f"sweep.constraint_sets[{i}]"))
-    sweep_options = SweepOptions(
-        quantity=quantity,
-        values=_parse_values(sw, "values", _SWEEP.values, "sweep"),
-        constraint_sets=tuple(parsed_sets),
-    )
-
-    co = data.get("check_oracle", {})
-    _check_keys(co, {"t_final", "omega_a_scan"}, "check_oracle")
-    oracle_options = OracleOptions(
-        t_final=_number(co, "t_final", _ORACLE.t_final, "check_oracle", optional=True),
-        omega_a_scan=_parse_values(co, "omega_a_scan", _ORACLE.omega_a_scan, "check_oracle"),
-    )
-
-    fmt = data.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"'format' must be 'json' or 'csv', got {fmt!r}")
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"'out' must be a string path, got {out!r}")
-    for key in ("verbose", "raw"):
-        if key in data and not isinstance(data[key], bool):
-            raise ConfigError(f"'{key}' must be a boolean")
-
-    return RunConfig(system=system, constraints=constraints,
-                     eval_options=eval_options, design_options=design_options,
-                     sweep_options=sweep_options, oracle_options=oracle_options,
-                     format=fmt, out=out, verbose=data.get("verbose", False),
-                     raw=data.get("raw", False))
+    return _parse_block(RunConfig, data, "", {})
 
 
 def dump_config(config: RunConfig) -> dict:
     """Full configuration document; parse(dump(c)) == c."""
-    def cs_dict(cs: OptimizationConstraints) -> dict:
-        d = dataclasses.asdict(cs)
-        d["nu_c_range"] = list(d["nu_c_range"]) if d["nu_c_range"] else None
-        d["alpha_b_range"] = list(d["alpha_b_range"])
-        return d
-
-    return {
-        "system": dataclasses.asdict(config.system),
-        "constraints": cs_dict(config.constraints),
-        "eval": dataclasses.asdict(config.eval_options),
-        "design": dataclasses.asdict(config.design_options),
-        "sweep": {
-            "quantity": config.sweep_options.quantity,
-            "values": list(config.sweep_options.values),
-            "constraint_sets": [cs_dict(c) for c in config.sweep_options.constraint_sets],
-        },
-        "check_oracle": {
-            "t_final": config.oracle_options.t_final,
-            "omega_a_scan": list(config.oracle_options.omega_a_scan),
-        },
-        "format": config.format,
-        "out": config.out,
-        "verbose": config.verbose,
-        "raw": config.raw,
-    }
+    return dataclasses.asdict(config)
 
 
 def load_config(path: str) -> RunConfig:
@@ -297,7 +198,7 @@ def load_config(path: str) -> RunConfig:
 def cmd_eval(config: RunConfig) -> dict:
     """Closed-form quantities at the configured parameter point."""
     p = config.system
-    opts = config.eval_options
+    opts = config.eval
     target = PhaseTarget(opts.phi)
     scale = 1.0 if config.raw else p.omega_a_tilde
     kerr = kerr_approximation(p) / scale if opts.kerr else None
@@ -325,7 +226,7 @@ def cmd_eval(config: RunConfig) -> dict:
 
 def cmd_design(config: RunConfig) -> dict:
     """Optimize at fixed dephasing, or invert for a target error."""
-    opts = config.design_options
+    opts = config.design
     cs = config.constraints
     if (opts.delta_target is None) == (opts.gamma_10 is None):
         raise ConfigError("design needs exactly one of 'delta_target' or 'gamma_10'")
@@ -356,10 +257,9 @@ def cmd_design(config: RunConfig) -> dict:
 
 def cmd_sweep(config: RunConfig) -> tuple[list, dict]:
     """Run the configured sweep; returns (rows, summary)."""
-    sw = config.sweep_options
+    sw = config.sweep
     sets = list(sw.constraint_sets) or [config.constraints]
-    spec = SweepSpec(quantity=sw.quantity, values=sw.values)
-    rows = sweep(spec, sets)
+    rows = sweep(sw, sets)
     failures = sum(1 for r in rows if r.status != "ok")
     return rows, {"rows": len(rows), "failures": failures}
 
@@ -370,7 +270,7 @@ def cmd_check_oracle(config: RunConfig) -> tuple[list[dict], bool]:
     Returns (reports, ok); ok is False when the hard bound at the
     0.1 gamma_20 point is violated.
     """
-    opts = config.oracle_options
+    opts = config.check_oracle
     base = config.system
     reports = []
     ok = True
@@ -495,12 +395,10 @@ def main(argv=None) -> int:
                 value = getattr(args, flag)
                 if value is not None and not math.isfinite(value):
                     raise ConfigError(f"--{flag} must be finite, got {value}")
-            d_opts = config.design_options
             if args.delta is not None:
-                d_opts = DesignOptions(delta_target=args.delta, gamma_10=None)
+                config = replace(config, design=DesignOptions(delta_target=args.delta))
             if args.gamma10 is not None:
-                d_opts = DesignOptions(delta_target=None, gamma_10=args.gamma10)
-            config = replace(config, design_options=d_opts)
+                config = replace(config, design=DesignOptions(gamma_10=args.gamma10))
             if args.suppression is not None:
                 if args.suppression <= 0:
                     raise ConfigError(f"--suppression must be > 0, got {args.suppression}")

@@ -10,7 +10,6 @@ drive machinery evaluates one Fock component at a time).
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,21 +30,21 @@ class SystemParams:
     gamma_10 is the collective ground-state decoherence rate already divided
     by the atom number; gamma_10 and gamma_30 are pure dephasing (the levels
     they guard are metastable), gamma_20 and gamma_40 include depopulation.
+    The defaults are those of the configuration file's `system` block.
     """
 
-    omega_a_tilde: float
-    omega_b_tilde: float
-    omega_c_tilde: float
-    n_a: int
-    n_c: int
-    nu_a: float
-    nu_b: float
-    nu_c: float
-    gamma_10: float
-    gamma_20: float
-    gamma_30: float
-    gamma_40: float
-    n_atoms: int = 1
+    omega_a_tilde: float = 1.0
+    omega_b_tilde: float = 3.0
+    omega_c_tilde: float = 3.0
+    n_a: int = 1
+    n_c: int = 1
+    nu_a: float = 0.0
+    nu_b: float = 0.0
+    nu_c: float = 30.0
+    gamma_10: float = 1e-6
+    gamma_20: float = 1.0
+    gamma_30: float = 0.0
+    gamma_40: float = 1.0
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -57,8 +56,6 @@ class SystemParams:
                 raise InvalidInput(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.n_a < 0 or self.n_c < 0:
             raise InvalidInput(f"photon numbers must be >= 0, got n_a={self.n_a}, n_c={self.n_c}")
-        if self.n_atoms < 1:
-            raise InvalidInput(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.gamma_10 > self.gamma_20 or self.gamma_30 > self.gamma_20:
             warnings.warn(
                 "gamma_10 or gamma_30 exceeds gamma_20; the metastability "
@@ -135,16 +132,6 @@ def w10(params: SystemParams) -> ResponseW10:
         raise DegenerateDenominator(
             f"w10: |denominator|={abs(den):.3e} at or below {EPS_DEN:.0e} x its scale")
     return ResponseW10(value=complex(num / den))
-
-
-def rho10_at(params: SystemParams, t: float) -> complex:
-    """Quasi-steady-state coherence factor exp[(-gamma_10 + i W10) N t].
-
-    The caller multiplies by rho_10(0).  Propagates DegenerateDenominator
-    from w10.
-    """
-    w = w10(params)
-    return cmath.exp((-params.gamma_10 + 1j * w.value) * params.n_atoms * t)
 
 
 def kerr_approximation(params: SystemParams) -> float:

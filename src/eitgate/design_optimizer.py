@@ -124,7 +124,6 @@ def base_params(constraints: OptimizationConstraints, gamma_10: float) -> System
         gamma_20=gamma_20,
         gamma_30=0.0,
         gamma_40=constraints.suppression * gamma_20,
-        n_atoms=1,
     )
 
 

@@ -263,11 +263,6 @@ class TestGateTime:
         exact = gate_time(p, PhaseTarget(PI))
         assert exact == pytest.approx(-PI / kerr_approximation(p), rel=0.05)
 
-    def test_atom_number_invariance(self):
-        p1 = params()
-        p2 = replace(p1, n_atoms=2)
-        assert gate_time(p1, PhaseTarget(PI)) == gate_time(p2, PhaseTarget(PI))
-
     def test_zero_phase_rate(self):
         with pytest.raises(ZeroPhaseRate):
             gate_time(params(nu_c=0.0), PhaseTarget(PI))

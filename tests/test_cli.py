@@ -32,7 +32,6 @@ _SYSTEM_FIELDS = {
     "n_a": st.integers(0, 1000), "n_c": st.integers(0, 1000),
     "nu_a": _NUMBER, "nu_b": _NUMBER, "nu_c": _NUMBER,
     "gamma_10": _RATE, "gamma_20": _RATE, "gamma_30": _RATE, "gamma_40": _RATE,
-    "n_atoms": st.integers(1, 10 ** 6),
 }
 _CONSTRAINTS = st.fixed_dictionaries({}, optional={
     "omega_a_over_gamma_20": _POSITIVE, "omega_b_sq_over_omega_c_sq": _POSITIVE,
@@ -40,6 +39,7 @@ _CONSTRAINTS = st.fixed_dictionaries({}, optional={
     "nu_c_range": _ordered_pair(1e-6), "alpha_b_range": _ordered_pair(0.0),
     "mode": st.sampled_from(["two-qubit", "one-qubit"]),
 })
+_OPTIONAL_NUMBER = st.one_of(st.none(), _NUMBER)
 
 
 class TestConfigParsing:
@@ -73,9 +73,24 @@ class TestConfigParsing:
             "values": st.lists(_NUMBER, min_size=1, max_size=4),
             "constraint_sets": st.lists(_CONSTRAINTS, max_size=3),
         }),
+        "eval": st.fixed_dictionaries({}, optional={
+            "phi": st.floats(1e-6, 2 * PI), "delta": _POSITIVE,
+            "n_b": st.integers(1, 10 ** 6), "kerr": st.booleans(),
+        }),
+        "design": st.fixed_dictionaries({}, optional={
+            "delta_target": _OPTIONAL_NUMBER, "gamma_10": _OPTIONAL_NUMBER,
+        }),
+        "check_oracle": st.fixed_dictionaries({}, optional={
+            "t_final": st.one_of(st.none(), _POSITIVE),
+            "omega_a_scan": st.lists(_RATE, min_size=1, max_size=4),
+        }),
+        "format": st.sampled_from(["json", "csv"]),
+        "out": st.one_of(st.none(), st.text()),
+        "verbose": st.booleans(),
+        "raw": st.booleans(),
     }))
     def test_round_trip_property(self, doc):
-        # nu_c_range may be present or absent, at the top and in each set
+        # every key may be present or absent, at the top and in each block
         config = parse_config(doc)
         assert parse_config(dump_config(config)) == config
 
@@ -92,6 +107,15 @@ class TestConfigParsing:
             parse_config({"system": {"gamma_20": "fast"}})
         with pytest.raises(ConfigError, match="eval.n_b"):
             parse_config({"eval": {"n_b": 2.5}})
+
+    def test_null_for_non_optional_key_named(self):
+        with pytest.raises(ConfigError, match="system.gamma_20"):
+            parse_config({"system": {"gamma_20": None}})
+
+    def test_null_range_in_constraint_set_means_no_range(self):
+        config = parse_config({"constraints": {"nu_c_range": [1, 2]},
+                               "sweep": {"constraint_sets": [{"nu_c_range": None}, {}]}})
+        assert [cs.nu_c_range for cs in config.sweep.constraint_sets] == [None, (1.0, 2.0)]
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -116,9 +140,9 @@ class TestConfigParsing:
         from pathlib import Path
         path = Path(__file__).resolve().parent.parent / "configs" / "fig2.json"
         config = load_config(str(path))
-        assert config.sweep_options.quantity == "delta_target"
-        assert len(config.sweep_options.constraint_sets) == 3
-        modes = {cs.mode for cs in config.sweep_options.constraint_sets}
+        assert config.sweep.quantity == "delta_target"
+        assert len(config.sweep.constraint_sets) == 3
+        modes = {cs.mode for cs in config.sweep.constraint_sets}
         assert modes == {"two-qubit", "one-qubit"}
 
 
@@ -200,6 +224,15 @@ class TestMainEntry:
         assert report["gamma_10_over_omega_a"] == 1e-5
         assert report["delta_total"] > 0
 
+    def test_design_block_naming_gamma_10_matches_flag(self, tmp_path, capsys):
+        # a design block that names one key leaves the other null
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"design": {"gamma_10": 1e-5}}))
+        assert main(["design", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["design", "--gamma10", "1e-5"]) == 0
+        assert capsys.readouterr().out == from_config
+
     def test_sweep_single_point(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(
@@ -251,12 +284,32 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"system": {"nu_z": 1.0}}))
         assert main(["eval", "--config", str(cfg)]) == 2
 
-    def test_retired_oracle_tol_key_exits_2(self, tmp_path, capsys):
-        # the exact propagator has no tolerance; old configs fail by name
+    @pytest.mark.parametrize("command, block, key, value", [
+        ("check-oracle", "check_oracle", "tol", 1e-10),
+        ("eval", "system", "n_atoms", 7),
+    ], ids=["check_oracle.tol", "system.n_atoms"])
+    def test_retired_oracle_tol_key_exits_2(self, tmp_path, capsys, command, block, key, value):
+        # the exact propagator has no tolerance and the atom number changed
+        # no output; old configs fail by name
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"check_oracle": {"tol": 1e-10}}))
-        assert main(["check-oracle", "--config", str(cfg)]) == 2
-        assert "check_oracle.tol" in capsys.readouterr().err
+        cfg.write_text(json.dumps({block: {key: value}}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{block}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("eval", {"eval": {"n_b": 0}}),
+        ("eval", {"eval": {"n_b": -3}}),
+        ("eval", {"eval": {"delta": 0.0}}),
+        ("eval", {"eval": {"phi": 0.0}}),
+        ("check-oracle", {"check_oracle": {"omega_a_scan": [-1]}}),
+        ("check-oracle", {"check_oracle": {"t_final": -5}}),
+    ], ids=["eval.n_b=0", "eval.n_b=-3", "eval.delta=0", "eval.phi=0",
+            "check_oracle.omega_a_scan=-1", "check_oracle.t_final=-5"])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, command, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"invalid '{next(iter(doc))}' block" in capsys.readouterr().err
 
     def test_check_oracle_no_probe(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

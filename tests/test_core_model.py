@@ -1,4 +1,3 @@
-import cmath
 import math
 from dataclasses import replace
 
@@ -8,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eitgate import (DegenerateDenominator, DivisionByZero, InvalidInput,
-                     RegimeWarning, SystemParams, kerr_approximation, rho10_at,
-                     w10)
+                     RegimeWarning, SystemParams, kerr_approximation, w10)
 from conftest import cf_denominator_scale, random_physical_params, w10_continued_fraction
 
 
@@ -124,31 +122,6 @@ class TestEnsembleInvariants:
             assert w10(scaled).value == pytest.approx(s * w10(p).value, rel=5e-15)
 
 
-class TestRho10At:
-    def test_identity_at_zero_time(self):
-        assert rho10_at(EXAMPLE, 0.0) == 1.0
-
-    def test_pure_decay_without_probe(self):
-        p = params(n_a=0, gamma_10=0.25)
-        t = 3.0
-        assert rho10_at(p, t) == pytest.approx(math.exp(-0.25 * t), rel=1e-14)
-        assert rho10_at(p, t).imag == 0.0
-
-    def test_pi_phase_point(self):
-        # at t = pi/|Re W10| the factor is -e^{-Im(W10) t}
-        t = math.pi / abs(EXAMPLE_W10.real)
-        value = rho10_at(EXAMPLE, t)
-        expected = cmath.exp((1j * EXAMPLE_W10) * t)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert abs(value) == pytest.approx(math.exp(-math.pi / 5.0), rel=1e-12)
-        assert cmath.phase(value) == pytest.approx(-math.pi, abs=1e-12) or \
-            cmath.phase(value) == pytest.approx(math.pi, abs=1e-12)
-
-    def test_n_atoms_in_exponent(self):
-        p = replace(EXAMPLE, n_atoms=7)
-        assert rho10_at(p, 1.0) == pytest.approx(rho10_at(EXAMPLE, 7.0), rel=1e-12)
-
-
 class TestKerrApproximation:
     def test_direct_arithmetic(self):
         assert kerr_approximation(EXAMPLE) == -0.1
@@ -189,13 +162,6 @@ class TestValidation:
     def test_negative_photon_number_rejected(self):
         with pytest.raises(InvalidInput):
             params(n_a=-1)
-
-    def test_zero_atoms_rejected(self):
-        with pytest.raises(InvalidInput):
-            SystemParams(omega_a_tilde=1, omega_b_tilde=1, omega_c_tilde=1,
-                         n_a=1, n_c=1, nu_a=0, nu_b=0, nu_c=1,
-                         gamma_10=0, gamma_20=1, gamma_30=0, gamma_40=1,
-                         n_atoms=0)
 
     def test_non_finite_rejected(self):
         for field in ("gamma_10", "nu_c", "omega_b_tilde"):
