@@ -5,11 +5,10 @@ from .analytic_design import (AuxiliaryFactors, PhaseTarget, asymptotic_design,
                               gate_time, optimal_detuning, tau_eff,
                               tau_eff_at_optimum)
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
-                            design_point, gate_error, min_alpha_b)
+                            design_point, min_alpha_b)
 from .core_model import ResponseW10, SystemParams, kerr_approximation, w10
 from .design_optimizer import (OptimizationConstraints, SweepRow, SweepSpec,
-                               base_params, max_dephasing,
-                               optimize_design, sweep, sweep_to_csv, sweep_to_json)
+                               base_params, max_dephasing, optimize_design, sweep)
 from .errors import (ConfigError, DegenerateDenominator, DegenerateParams,
                      DivisionByZero, GateModelError, InvalidInput,
                      MonotonicityViolation, NearExceptionalPoint, NoConvergence,

@@ -27,7 +27,7 @@ from .analytic_design import (PhaseTarget, asymptotic_design, decoherence_error,
                               tau_eff)
 from .core_model import SystemParams, kerr_approximation, w10
 from .design_optimizer import (OptimizationConstraints, SweepSpec, max_dephasing,
-                               optimize_design, sweep, sweep_to_csv, sweep_to_json)
+                               optimize_design, sweep)
 from .errors import ConfigError, GateModelError, InvalidInput
 from .lindblad_oracle import verify_qss
 
@@ -301,14 +301,28 @@ def cmd_check_oracle(config: RunConfig) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _emit_table(report: dict, fmt: str, fh) -> None:
+def _write(result, fmt: str, fh) -> None:
+    """Write one report (a dict) or a list of rows as CSV or strict JSON.
+
+    The CSV header is the union of the rows' keys in first-seen order; a row
+    without a key leaves its cell empty.  JSON writes every non-finite float
+    as null.
+    """
+    rows = [result] if isinstance(result, dict) else result
     if fmt == "json":
-        json.dump(report, fh, indent=2)
+        finite = [{k: _json_cell(v) for k, v in row.items()} for row in rows]
+        json.dump(finite[0] if isinstance(result, dict) else finite, fh,
+                  indent=2, allow_nan=False)
         fh.write("\n")
-    else:
-        keys = list(report)
-        fh.write(",".join(keys) + "\n")
-        fh.write(",".join(_csv_cell(report[k]) for k in keys) + "\n")
+        return
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    fh.write(",".join(keys) + "\n")
+    for row in rows:
+        fh.write(",".join(_csv_cell(row.get(k, "")) for k in keys) + "\n")
+
+
+def _json_cell(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _csv_cell(value) -> str:
@@ -317,24 +331,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.16e}"
     return str(value)
-
-
-def _emit_reports(reports: list[dict], fmt: str, fh) -> None:
-    if fmt == "json":
-        json.dump(reports, fh, indent=2)
-        fh.write("\n")
-    else:
-        keys = list(reports[0])
-        fh.write(",".join(keys) + "\n")
-        for rep in reports:
-            fh.write(",".join(_csv_cell(rep.get(k, "")) for k in keys) + "\n")
-
-
-def _emit_sweep(rows: list, fmt: str, fh) -> None:
-    if fmt == "csv":
-        sweep_to_csv(rows, fh)
-    else:
-        sweep_to_json(rows, fh)
 
 
 def _open_out(config: RunConfig):
@@ -411,18 +407,17 @@ def main(argv=None) -> int:
     try:
         ok = True
         if args.command == "eval":
-            result, write = cmd_eval(config), _emit_table
+            result = cmd_eval(config)
         elif args.command == "design":
-            result, write = cmd_design(config), _emit_table
+            result = cmd_design(config)
         elif args.command == "sweep":
-            result, summary = cmd_sweep(config)
-            write = _emit_sweep
+            rows, summary = cmd_sweep(config)
+            result = [dataclasses.asdict(row) for row in rows]
         else:
             result, ok = cmd_check_oracle(config)
-            write = _emit_reports
         fh, close = _open_out(config)
         try:
-            write(result, config.format, fh)
+            _write(result, config.format, fh)
         finally:
             if close:
                 fh.close()

@@ -16,7 +16,6 @@ component reproduces delta_total when the other mechanism is absent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.stats import poisson
 
 from .analytic_design import PhaseTarget, gate_time
 from .core_model import SystemParams, _w10_terms
-from .errors import InvalidInput, NotAttainable, RegimeWarning
+from .errors import InvalidInput, NotAttainable
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
@@ -350,40 +349,6 @@ def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
         raise InvalidInput("gamma_40 > 0 with gamma_20 = 0 has no suppression ratio")
     return GateDesign(nu_c=nu_c, alpha_b=alpha_b, phi=phi, time_norm=tn,
                       suppression=sup, alpha_c=alpha_c)
-
-
-def _check_design(params: SystemParams, design: GateDesign):
-    expected = design_point(params, design.nu_c, design.alpha_b, design.phi,
-                            alpha_c=design.alpha_c)
-    scale = max(abs(expected.time_norm), 1e-300)
-    if abs(expected.time_norm - design.time_norm) > 1e-9 * scale:
-        raise InvalidInput(
-            f"design time_norm {design.time_norm!r} inconsistent with "
-            f"gate_time at its parameters ({expected.time_norm!r})")
-    if abs(expected.suppression - design.suppression) > 1e-9 * expected.suppression:
-        raise InvalidInput(
-            f"design suppression {design.suppression!r} inconsistent with "
-            f"gamma_40/gamma_20 = {expected.suppression!r}")
-
-
-def gate_error(params: SystemParams, design: GateDesign) -> ErrorBudget:
-    """Error budget of the phase gate at a design point.
-
-    The dual-rail coherence after the gate is rho_10(0) times
-    sum_n P(n) exp(-i phi_n - tau_n); the budget is built from the modulus
-    of that sum (delta_total = 1 - F^2) with the spread and decoherence
-    components obtained by switching off the other mechanism.  A one-qubit
-    design sums over the Fock content of both coherent modes b and c; it
-    requires |alpha_c| >> |alpha_b| and warns below a ratio of 10.
-    """
-    _check_design(params, design)
-    if design.mode == TWO_QUBIT:
-        return _two_qubit_budget(params, design)
-    if design.alpha_c < 10.0 * design.alpha_b:
-        warnings.warn("one-qubit gate assumes |alpha_c| >> |alpha_b|; "
-                      f"ratio is only {design.alpha_c / max(design.alpha_b, 1e-300):.2f}",
-                      RegimeWarning, stacklevel=2)
-    return _one_qubit_budget(params, design)
 
 
 def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: float,

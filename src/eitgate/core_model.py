@@ -64,8 +64,12 @@ class SystemParams:
 
     @property
     def omega_a(self) -> float:
-        """Effective probe amplitude |Omega_a| = |Omega~_a| sqrt(n_a)."""
-        return self.omega_a_tilde * np.sqrt(self.n_a)
+        """Effective probe amplitude |Omega_a| = |Omega~_a| sqrt(n_a).
+
+        A numpy scalar: a power of it that overflows gives inf, where a
+        Python float's would raise OverflowError.
+        """
+        return np.float64(self.omega_a_tilde * math.sqrt(self.n_a))
 
     @property
     def omega_b(self) -> float:
@@ -74,8 +78,8 @@ class SystemParams:
 
     @property
     def omega_c(self) -> float:
-        """Effective signal amplitude |Omega_c| = |Omega~_c| sqrt(n_c)."""
-        return self.omega_c_tilde * np.sqrt(self.n_c)
+        """Effective signal amplitude |Omega_c| = |Omega~_c| sqrt(n_c); a numpy scalar."""
+        return np.float64(self.omega_c_tilde * math.sqrt(self.n_c))
 
 
 @dataclass(frozen=True)

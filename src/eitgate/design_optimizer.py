@@ -9,7 +9,6 @@ on a logarithmic nu_c axis seeded at the closed-form optimum.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -28,11 +27,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
 _BISECT_ITERS = 14
 _CERT_SLACK = 1e-4
-
-#: column order of the sweep tables (CSV header and JSON field order)
-SWEEP_COLUMNS = ("gamma_10_over_omega_a", "delta_total", "delta_decoherence",
-                 "delta_spread", "nu_c_over_omega_a", "alpha_b", "time_norm",
-                 "suppression", "mode", "status")
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,7 @@ class OptimizationConstraints:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One record of a trade-off sweep."""
+    """One record of a trade-off sweep; the field order is the table's column order."""
 
     gamma_10_over_omega_a: float
     delta_total: float
@@ -422,29 +416,3 @@ def _audit_monotonicity(tagged: list[tuple[int, SweepRow]]) -> None:
                     f"{prev.gamma_10_over_omega_a!r} to {cur.gamma_10_over_omega_a!r} "
                     f"(mode={cur.mode}, suppression={cur.suppression})")
 
-
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{value:.16e}"
-
-
-def sweep_to_csv(rows: list[SweepRow], fh) -> None:
-    """Write rows as CSV: comma-separated, '.' decimal, 17 significant digits."""
-    fh.write(",".join(SWEEP_COLUMNS) + "\n")
-    for row in rows:
-        fh.write(",".join(_format_cell(getattr(row, c)) for c in SWEEP_COLUMNS) + "\n")
-
-
-def _json_cell(value):
-    return None if isinstance(value, float) and math.isnan(value) else value
-
-
-def sweep_to_json(rows: list[SweepRow], fh) -> None:
-    """Write rows as a strict JSON array with the same field names as the CSV.
-
-    The NaN fields of a failed row are written as null.
-    """
-    payload = [{c: _json_cell(getattr(row, c)) for c in SWEEP_COLUMNS} for row in rows]
-    json.dump(payload, fh, indent=2, allow_nan=False)
-    fh.write("\n")

@@ -29,9 +29,10 @@ import pytest
 
 from eitgate import (OptimizationConstraints, PhaseTarget,
                      SweepSpec, SystemParams, design_point, fock_dephasing_bound,
-                     gate_error, max_dephasing, optimal_detuning, steady_chain_rate,
+                     max_dephasing, optimal_detuning, steady_chain_rate,
                      sweep, tau_eff, verify_qss, w10)
 from eitgate.cli import main
+from eitgate.coherent_gate import _two_qubit_budget
 from conftest import random_physical_params
 
 PI = math.pi
@@ -231,7 +232,7 @@ def test_criterion_6_coherent_spread_scaling():
     scaled = {}
     for alpha in (5.0, 10.0, 20.0, 40.0):
         design = design_point(p, 125.0, alpha, PI)
-        budget = gate_error(p, design)
+        budget = _two_qubit_budget(p, design)
         scaled[alpha] = budget.delta_coherent_spread * alpha ** 2
     band = max(scaled.values()) / min(scaled.values())
     vanishing = scaled[40.0] / 40.0 ** 2

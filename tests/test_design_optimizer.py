@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,12 +7,10 @@ from hypothesis import strategies as st
 
 from eitgate import (DegenerateDenominator, GateModelError, InvalidInput, NotAttainable,
                      OptimizationConstraints, SweepSpec, SystemParams, ZeroPhaseRate,
-                     base_params, design_point, gate_error, max_dephasing,
-                     optimal_detuning, optimize_design, sweep, sweep_to_csv,
-                     sweep_to_json)
+                     base_params, design_point, max_dephasing,
+                     optimal_detuning, optimize_design, sweep)
 from eitgate import coherent_gate, design_optimizer
 from eitgate.coherent_gate import _two_qubit_budget, _two_qubit_delta
-from eitgate.design_optimizer import SWEEP_COLUMNS
 
 PI = math.pi
 
@@ -194,7 +191,7 @@ class TestMaxDephasing:
         assert budget.delta_total <= 0.2 * 1.01
         # the returned budget, summed over a window from the table, is the
         # witness design's own with a freshly built window, bit for bit
-        assert budget == gate_error(base_params(cs, gamma), design)
+        assert budget == _two_qubit_budget(base_params(cs, gamma), design)
         # two bracket ends and one search per bisection step; the search at
         # the final gamma_10 is reused, not run again
         assert len(searches) == 2 + design_optimizer._BISECT_ITERS == 16
@@ -233,23 +230,6 @@ class TestSweep:
         assert rows[0].status == "NotAttainable"
         assert math.isnan(rows[0].delta_total)
 
-    def test_failed_rows_strict_json(self):
-        # the failed row's NaN fields are written as null, not bare NaN
-        import json
-        spec = SweepSpec(quantity="delta_target", values=(0.001,))
-        rows = sweep(spec, [OptimizationConstraints(alpha_b_range=(1.0, 10.0))])
-        buf = io.StringIO()
-        sweep_to_json(rows, buf)
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        payload = json.loads(buf.getvalue(), parse_constant=reject)
-        assert payload[0]["status"] == "NotAttainable"
-        assert payload[0]["delta_total"] is None
-        assert payload[0]["gamma_10_over_omega_a"] is None
-        assert payload[0]["suppression"] == 1.0
-
     def test_forward_grid_monotone(self):
         gammas = tuple(np.geomspace(1e-7, 1e-4, 6))
         spec = SweepSpec(quantity="gamma_10", values=gammas)
@@ -278,30 +258,3 @@ class TestSweep:
         with pytest.raises(InvalidInput):
             SweepSpec(quantity="delta_target", values=())
 
-
-class TestExport:
-    @pytest.fixture
-    def rows(self):
-        spec = SweepSpec(quantity="gamma_10", values=(1e-6,))
-        return sweep(spec, [OptimizationConstraints(suppression=1.0)])
-
-    def test_csv_shape_and_precision(self, rows):
-        buf = io.StringIO()
-        sweep_to_csv(rows, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == ",".join(SWEEP_COLUMNS)
-        cells = lines[1].split(",")
-        assert len(cells) == len(SWEEP_COLUMNS)
-        # 17 significant digits round-trip the double exactly
-        assert float(cells[0]) == rows[0].gamma_10_over_omega_a
-        assert float(cells[1]) == rows[0].delta_total
-        assert cells[-2] == "two-qubit"
-        assert cells[-1] == "ok"
-
-    def test_json_matches_csv_fields(self, rows):
-        import json
-        buf = io.StringIO()
-        sweep_to_json(rows, buf)
-        payload = json.loads(buf.getvalue())
-        assert list(payload[0]) == list(SWEEP_COLUMNS)
-        assert payload[0]["delta_total"] == rows[0].delta_total
