@@ -9,7 +9,10 @@ with the file of the same name next to this script.  Every command appears
 in at least one of the two output formats; the two-point sweep holds one
 failed (NotAttainable) row.  A change that moves a
 number on purpose regenerates the files with `--write` and says why in
-`CHANGES.md`.  The fig2 sweep dominates the run time.
+`CHANGES.md`.  The fig2 sweep dominates the run time.  All ten cases share
+one process, so the later cases read the mode-b Poisson windows that the
+earlier ones memoized (`coherent_gate._window`); their outputs are the same
+either way.
 """
 
 from __future__ import annotations

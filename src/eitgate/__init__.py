@@ -6,14 +6,13 @@ from .analytic_design import (AuxiliaryFactors, PhaseTarget, asymptotic_design,
                               tau_eff_at_optimum)
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
                             design_point, min_alpha_b)
-from .core_model import ResponseW10, SystemParams, kerr_approximation, w10
+from .core_model import SystemParams, kerr_approximation, w10
 from .design_optimizer import (OptimizationConstraints, SweepRow, SweepSpec,
                                base_params, max_dephasing, optimize_design, sweep)
 from .errors import (ConfigError, DegenerateDenominator, DegenerateParams,
                      DivisionByZero, GateModelError, InvalidInput,
                      MonotonicityViolation, NearExceptionalPoint, NoConvergence,
                      NotAttainable, RegimeWarning, ZeroPhaseRate)
-from .lindblad_oracle import (OracleReport, Trajectory, integrate, steady_chain_rate,
-                              verify_qss)
+from .lindblad_oracle import OracleReport, integrate, steady_chain_rate, verify_qss
 
 __version__ = "0.1.0"

@@ -76,9 +76,9 @@ def tau_eff(params: SystemParams, target: PhaseTarget) -> float:
         If Re(W10) = 0 (no phase accumulates at these parameters).
     """
     w = w10(params)
-    if w.phase_rate == 0:
+    if w.real == 0:
         raise ZeroPhaseRate("tau_eff: Re(W10) = 0, gate impossible at these parameters")
-    return -(params.gamma_10 + w.absorption_rate) / w.phase_rate * target.phi
+    return -(params.gamma_10 + w.imag) / w.real * target.phi
 
 
 def _check_detuning_regime(params: SystemParams):
@@ -203,6 +203,6 @@ def gate_time(params: SystemParams, target: PhaseTarget) -> float:
     dimensionless number quoted for gate durations.
     """
     w = w10(params)
-    if w.phase_rate == 0:
+    if w.real == 0:
         raise ZeroPhaseRate("gate_time: Re(W10) = 0, no phase accumulates")
-    return -target.phi * params.omega_a / w.phase_rate
+    return -target.phi * params.omega_a / w.real

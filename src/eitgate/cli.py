@@ -206,8 +206,8 @@ def cmd_eval(config: RunConfig) -> dict:
     nu_opt = optimal_detuning(p)
     asym_nu, asym_tau = asymptotic_design(p, target)
     report = {
-        "w10_re": w.phase_rate / scale,
-        "w10_im": w.absorption_rate / scale,
+        "w10_re": w.real / scale,
+        "w10_im": w.imag / scale,
         "tau_eff": tau_eff(p, target),
         "optimal_nu_c": nu_opt / scale,
         "asymptotic_nu_c": asym_nu / scale,

@@ -15,6 +15,7 @@ component reproduces delta_total when the other mechanism is absent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,9 @@ from .errors import InvalidInput, NotAttainable
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
+WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs read 334
+MIN_ALPHA_MAX = 400.0      # largest alpha_b min_alpha_b tries
+MIN_ALPHA_TOL = 0.02       # width of min_alpha_b's final bracket
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"
@@ -201,31 +205,31 @@ def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBu
     )
 
 
-def _window(windows: dict, alpha_b: float):
-    """The table's entry for alpha_b, built and stored if missing.
+@functools.lru_cache(maxsize=WINDOW_CACHE)
+def _window(alpha_b: float):
+    """The Poisson window of mode b at alpha_b, built once and memoized.
 
-    An entry is the Poisson window (n_b, P(n_b)) of mode b followed by what
-    a two-qubit sum over it reads at every point: sqrt(n_b) and the weights
-    as columns, and the weights' sum.  The window is built through the
-    module name _poisson_window, so a tracer sees every build.
+    An entry is the window (n_b, P(n_b)) followed by what a two-qubit sum
+    over it reads at every point: sqrt(n_b) and the weights as columns, and
+    the weights' sum.  The arrays are shared by every caller, so they are
+    read-only.  The window is built through the module name _poisson_window,
+    so a tracer sees every build.
     """
-    if alpha_b not in windows:
-        nb, pb, _ = _poisson_window(alpha_b ** 2)
-        weights = pb[:, None]
-        windows[alpha_b] = nb, pb, np.sqrt(nb)[:, None], weights, float(np.sum(weights))
-    return windows[alpha_b]
+    nb, pb, _ = _poisson_window(alpha_b ** 2)
+    weights = pb[:, None]
+    entry = nb, pb, np.sqrt(nb)[:, None], weights, float(np.sum(weights))
+    for array in entry[:4]:
+        array.flags.writeable = False
+    return entry
 
 
-def _two_qubit_budget(params: SystemParams, design: GateDesign,
-                      windows: dict | None = None) -> ErrorBudget:
+def _two_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
     """Error budget at a two-qubit design.
 
     The interaction time is the design's, calibrated by design_point; mode c
-    holds the single Fock component n_c.  windows maps alpha_b to its Poisson
-    window (see _window); a missing entry is built and stored, so a design
-    search that passes one table builds each window once.
+    holds the single Fock component n_c.
     """
-    nb, pb, *_ = _window({} if windows is None else windows, design.alpha_b)
+    nb, pb, *_ = _window(design.alpha_b)
     return _fock_sum(replace(params, nu_c=design.nu_c), design.time_norm, nb, pb,
                      np.array([params.n_c]), np.array([1.0]))
 
@@ -241,18 +245,17 @@ def _unchecked(params: SystemParams, **changes) -> SystemParams:
     return view
 
 
-def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
-                     windows: dict) -> float:
+def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: float) -> float:
     """delta_total of _two_qubit_budget(params, design_point(params, nu_c,
-    alpha_b, phi), windows), bit for bit, without the design or the budget.
+    alpha_b, phi)), bit for bit, without the design or the budget.
 
     The design searches call this at every point.  It shares the full path's
-    time calibration (gate_time at the mean component), window table and
-    kernel (_overlap), and raises the same error class wherever
-    the full path does: for a non-finite nu_c or alpha_b, a degenerate or
-    zero phase rate at the mean component, a negative or non-finite time and
-    a non-finite or out-of-range fidelity.  params itself, fixed for a whole
-    search, is not checked again.
+    time calibration (gate_time at the mean component), window and kernel
+    (_overlap), and raises the same error class wherever the full path does:
+    for a non-finite nu_c or alpha_b, a degenerate or zero phase rate at the
+    mean component, a negative or non-finite time and a non-finite or
+    out-of-range fidelity.  params itself, fixed for a whole search, is not
+    checked again.
     """
     omega_b = params.omega_b_tilde * alpha_b
     if not (math.isfinite(nu_c) and alpha_b >= 0 and math.isfinite(omega_b)):
@@ -261,7 +264,7 @@ def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: flo
     mean = _unchecked(params, nu_c=nu_c, omega_b_tilde=omega_b)
     time_norm = gate_time(mean, PhaseTarget(phi))
     _check_time(time_norm)
-    _, _, sqrt_nb, weights, wsum = _window(windows, alpha_b)
+    _, _, sqrt_nb, weights, wsum = _window(alpha_b)
     m, _, _ = _overlap(_unchecked(params, nu_c=nu_c), time_norm / params.omega_a,
                        params.omega_b_tilde * sqrt_nb,
                        params.omega_c_tilde * np.sqrt(np.array([params.n_c]))[None, :],
@@ -352,8 +355,7 @@ def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
 
 
 def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: float,
-                alpha_c_ratio: float = 10.0, alpha_max: float = 400.0,
-                tol: float = 0.02) -> tuple[GateDesign, ErrorBudget]:
+                alpha_c_ratio: float) -> tuple[GateDesign, ErrorBudget]:
     """(design, budget) at the smallest drive amplitude whose spread-only
     one-qubit error <= target.
 
@@ -373,18 +375,18 @@ def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: flo
         evaluated[alpha] = design, _one_qubit_budget(params, design)
         return evaluated[alpha][1].delta_coherent_spread
 
-    hi = min(alpha_max,
+    hi = min(MIN_ALPHA_MAX,
              max(1.0, phi * math.sqrt((1.0 + alpha_c_ratio ** -2) / delta_target)))
     while spread_at(hi) > delta_target:
         hi *= 1.5
-        if hi > alpha_max:
+        if hi > MIN_ALPHA_MAX:
             raise NotAttainable(
-                f"spread error still above {delta_target} at alpha_b = {alpha_max}")
+                f"spread error still above {delta_target} at alpha_b = {MIN_ALPHA_MAX}")
     lo = hi / 1.5
     while spread_at(lo) <= delta_target and lo > 0.5:
         hi = lo
         lo /= 1.5
-    while hi - lo > tol:
+    while hi - lo > MIN_ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         if spread_at(mid) <= delta_target:
             hi = mid

@@ -73,28 +73,13 @@ class SystemParams:
 
     @property
     def omega_b(self) -> float:
-        """Effective drive amplitude; photon number already folded in."""
-        return self.omega_b_tilde
+        """Effective drive amplitude; photon number already folded in.  A numpy scalar."""
+        return np.float64(self.omega_b_tilde)
 
     @property
     def omega_c(self) -> float:
         """Effective signal amplitude |Omega_c| = |Omega~_c| sqrt(n_c); a numpy scalar."""
         return np.float64(self.omega_c_tilde * math.sqrt(self.n_c))
-
-
-@dataclass(frozen=True)
-class ResponseW10:
-    """Complex weak-probe response: Re is the phase rate, Im the absorption."""
-
-    value: complex
-
-    @property
-    def phase_rate(self) -> float:
-        return self.value.real
-
-    @property
-    def absorption_rate(self) -> float:
-        return self.value.imag
 
 
 def _w10_terms(params: SystemParams, omega_b, omega_c):
@@ -118,7 +103,7 @@ def _w10_terms(params: SystemParams, omega_b, omega_c):
     return num, den, abs(den) <= EPS_DEN * scale
 
 
-def w10(params: SystemParams) -> ResponseW10:
+def w10(params: SystemParams) -> complex:
     """Evaluate the complex weak-probe response of the four-level chain.
 
     The ground-state coherence evolves as
@@ -135,7 +120,7 @@ def w10(params: SystemParams) -> ResponseW10:
     if degenerate:
         raise DegenerateDenominator(
             f"w10: |denominator|={abs(den):.3e} at or below {EPS_DEN:.0e} x its scale")
-    return ResponseW10(value=complex(num / den))
+    return complex(num / den)
 
 
 def kerr_approximation(params: SystemParams) -> float:

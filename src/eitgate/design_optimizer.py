@@ -151,24 +151,20 @@ def _nu_bracket(params: SystemParams, alpha_b: float,
 
 
 def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
-                      constraints: OptimizationConstraints, windows: dict):
+                      constraints: OptimizationConstraints):
     """(nu_c, delta_total) minimizing delta_total over nu_c at fixed alpha_b."""
     def delta_at(nu):
-        return _two_qubit_delta(params, nu, alpha_b, constraints.phi, windows)
+        return _two_qubit_delta(params, nu, alpha_b, constraints.phi)
 
     nu = _golden_min(delta_at, *_nu_bracket(params, alpha_b, constraints))
     return nu, delta_at(nu)
 
 
-def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
-                        windows: dict):
+def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
     """Grid-over-alpha / golden-over-nu minimization of the total error.
 
     Every point of the search is ranked by _two_qubit_delta alone; the full
-    design and budget are built once, at the result.  windows is the
-    Poisson-window table of the calling design run (see _two_qubit_budget);
-    the windows depend on alpha_b alone, so every search of the run shares
-    it.
+    design and budget are built once, at the result.
     """
     params = base_params(constraints, gamma_10)
     phi = constraints.phi
@@ -181,7 +177,7 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
     # default bracket the center is exactly the closed-form optimum
     def at_seed(alpha):
         lo, hi = _nu_bracket(params, alpha, constraints)
-        return _two_qubit_delta(params, math.sqrt(lo * hi), alpha, phi, windows)
+        return _two_qubit_delta(params, math.sqrt(lo * hi), alpha, phi)
 
     coarse = np.array([at_seed(a) for a in integers])
     order = np.argsort(coarse, kind="stable")[:4]
@@ -194,7 +190,7 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
     # best is (delta_total, alpha_b, nu_c)
     best = None
     for alpha in sorted(candidates):
-        nu, delta = _two_qubit_min_nu(params, alpha, constraints, windows)
+        nu, delta = _two_qubit_min_nu(params, alpha, constraints)
         if best is None or delta < best[0]:
             best = (delta, alpha, nu)
 
@@ -202,19 +198,19 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
     a0 = best[1]
     for alpha in np.arange(max(a_lo, a0 - 1.0), min(a_hi, a0 + 1.0) + 1e-9, 0.1):
         alpha = round(float(alpha), 10)
-        nu, delta = _two_qubit_min_nu(params, alpha, constraints, windows)
+        nu, delta = _two_qubit_min_nu(params, alpha, constraints)
         if delta < best[0]:
             best = (delta, alpha, nu)
 
     _, alpha, nu = best
     design = design_point(params, nu, alpha, phi)
-    budget = _two_qubit_budget(params, design, windows)
+    budget = _two_qubit_budget(params, design)
     at_edge = alpha <= integers[0] or alpha >= integers[-1]
     return params, design, budget, at_edge
 
 
 def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
-               at_edge: bool, constraints: OptimizationConstraints, windows: dict):
+               at_edge: bool, constraints: OptimizationConstraints):
     """(design, budget), once certified as an interior local minimum."""
     if at_edge:
         raise NoConvergence(
@@ -225,7 +221,7 @@ def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
                       (design.nu_c * 0.95, design.alpha_b),
                       (design.nu_c, design.alpha_b * 1.05),
                       (design.nu_c, design.alpha_b * 0.95)):
-        perturbed = _two_qubit_delta(params, nu, alpha, constraints.phi, windows)
+        perturbed = _two_qubit_delta(params, nu, alpha, constraints.phi)
         if perturbed < value - _CERT_SLACK:
             raise NoConvergence(
                 f"local-minimum certificate failed: delta {perturbed:.6f} "
@@ -279,9 +275,7 @@ def optimize_design(gamma_10: float,
         raise InvalidInput(f"gamma_10 must be > 0, got {gamma_10}")
     if constraints.mode == ONE_QUBIT:
         return _one_qubit_design(gamma_10, constraints)
-    windows = {}
-    return _certified(*_two_qubit_optimize(gamma_10, constraints, windows),
-                      constraints, windows)
+    return _certified(*_two_qubit_optimize(gamma_10, constraints), constraints)
 
 
 def _one_qubit_design(gamma_10: float, constraints: OptimizationConstraints):
@@ -312,12 +306,11 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     if not 0.0 < delta_target < 0.5:
         raise InvalidInput(f"delta_target must be in (0, 0.5), got {delta_target}")
     searches = {}
-    windows = {}
 
     def optimized_delta(gamma: float) -> float:
         if constraints.mode == ONE_QUBIT:
             return _one_qubit_dec_limit(gamma, constraints)[1]
-        searches[gamma] = _two_qubit_optimize(gamma, constraints, windows)
+        searches[gamma] = _two_qubit_optimize(gamma, constraints)
         return searches[gamma][2].delta_total
 
     lo, hi = 1e-14, 1e-1
@@ -339,7 +332,7 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     if constraints.mode == ONE_QUBIT:
         design, budget = _one_qubit_design(lo, constraints)
     else:
-        design, budget = _certified(*searches[lo], constraints, windows)
+        design, budget = _certified(*searches[lo], constraints)
     return lo, design, budget
 
 

@@ -35,18 +35,6 @@ class OracleReport:
     regime_flag: str            # "in" when |Omega_a| <= gamma_20
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Sampled solution of the coherence chain."""
-
-    times: np.ndarray
-    states: np.ndarray          # shape (len(times), 4), complex
-
-    @property
-    def rho_10(self) -> np.ndarray:
-        return self.states[:, 0]
-
-
 def chain_matrix(params: SystemParams) -> np.ndarray:
     """Generator A of the linear chain d/dt (rho_10, rho_20, rho_30, rho_40) = A v."""
     oa, ob, oc = params.omega_a, params.omega_b, params.omega_c
@@ -73,14 +61,13 @@ def steady_chain_rate(params: SystemParams) -> complex:
     return complex(a[0, 0] + a[0, 1:] @ fast)
 
 
-def integrate(params: SystemParams, y0: np.ndarray, t_final: float,
-              t_eval: np.ndarray | None = None) -> Trajectory:
+def integrate(params: SystemParams, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Exact solution v(t) = V diag(exp(lambda t)) V^-1 y0 of dv/dt = A v.
 
     A = chain_matrix(params) = V diag(lambda) V^-1 is constant, so every
-    requested time (default: 801 points on [0, t_final]) comes from one array
-    expression, with no step control.  y0 holds (rho_10, rho_20, rho_30,
-    rho_40) at t = 0.
+    requested time comes from one array expression, with no step control.
+    y0 holds (rho_10, rho_20, rho_30, rho_40) at t = 0; the result holds
+    them at each time, as a complex array of shape (len(times), 4).
 
     A is not normal, so rounding grows with the condition number of its
     eigenvector matrix V.  Accuracy: while cond(V) <= MAX_EIGEN_COND = 1e6,
@@ -91,17 +78,17 @@ def integrate(params: SystemParams, y0: np.ndarray, t_final: float,
 
     Raises
     ------
+    InvalidInput
+        If a time is negative.
     NearExceptionalPoint
         If cond(V) exceeds MAX_EIGEN_COND: the parameters sit so close to an
         exceptional point (coalescing eigenvectors, e.g. |Omega_a| =
         gamma_20 / 2 in the two-level chain) that the accuracy above is out
         of reach.
     """
-    if t_final <= 0:
-        raise InvalidInput(f"t_final must be > 0, got {t_final}")
-    t_eval = np.linspace(0.0, t_final, 801) if t_eval is None else np.asarray(t_eval)
-    if np.any(t_eval < 0.0) or np.any(t_eval > t_final):
-        raise InvalidInput(f"t_eval must lie inside [0, {t_final}]")
+    times = np.asarray(times)
+    if np.any(times < 0.0):
+        raise InvalidInput("integrate: times must be >= 0")
     lam, vec = np.linalg.eig(chain_matrix(params))
     cond = np.linalg.cond(vec)
     if not cond <= MAX_EIGEN_COND:
@@ -109,8 +96,7 @@ def integrate(params: SystemParams, y0: np.ndarray, t_final: float,
             f"integrate: eigenvector condition number {cond:.3e} exceeds "
             f"{MAX_EIGEN_COND:.0e}; the chain is too close to an exceptional point")
     coef = np.linalg.solve(vec, np.asarray(y0, dtype=complex))
-    states = (vec @ (coef[:, None] * np.exp(lam[:, None] * t_eval))).T
-    return Trajectory(times=t_eval, states=states)
+    return (vec @ (coef[:, None] * np.exp(lam[:, None] * times))).T
 
 
 def verify_qss(params: SystemParams, t_final: float) -> OracleReport:
@@ -123,8 +109,10 @@ def verify_qss(params: SystemParams, t_final: float) -> OracleReport:
     Refuses (InvalidInput) when the closed-form reference underflows to 0 or
     is not finite inside that window, since no ratio to it is defined.
     """
+    if t_final <= 0:
+        raise InvalidInput(f"t_final must be > 0, got {t_final}")
     times = np.linspace(0.0, t_final, 801)
-    qss = 0.5 * np.exp((-params.gamma_10 + 1j * w10(params).value) * times)
+    qss = 0.5 * np.exp((-params.gamma_10 + 1j * w10(params)) * times)
     window = TRANSIENT_WIDTHS / params.gamma_20 if params.gamma_20 > 0 else 0.0
     mask = times >= window
     if not np.any(mask):
@@ -135,12 +123,12 @@ def verify_qss(params: SystemParams, t_final: float) -> OracleReport:
         raise InvalidInput(
             f"verify_qss: the closed-form reference |rho_10| underflows to 0 or is not "
             f"finite inside the compared window (t_final={t_final}); shorten t_final")
-    traj = integrate(params, np.array([0.5, 0.0, 0.0, 0.0]), t_final, times)
-    dev = np.abs(traj.rho_10[mask] - qss[mask]) / ref
-    phase_err = np.angle(traj.rho_10[-1] / qss[-1])
+    rho_10 = integrate(params, np.array([0.5, 0.0, 0.0, 0.0]), times)[:, 0]
+    dev = np.abs(rho_10[mask] - qss[mask]) / ref
+    phase_err = np.angle(rho_10[-1] / qss[-1])
     return OracleReport(
         max_rel_deviation=float(np.max(dev)),
         final_phase_error=abs(float(phase_err)),
-        final_magnitude_ratio=float(np.abs(traj.rho_10[-1]) / np.abs(qss[-1])),
+        final_magnitude_ratio=float(np.abs(rho_10[-1]) / np.abs(qss[-1])),
         regime_flag="in" if params.omega_a <= params.gamma_20 else "out",
     )

@@ -111,13 +111,13 @@ def test_criterion_3_oracle_equivalence(rng):
     for _ in range(1000):
         p = random_physical_params(rng)
         rate = steady_chain_rate(p)
-        expected = -p.gamma_10 + 1j * w10(p).value
+        expected = -p.gamma_10 + 1j * w10(p)
         scale = max(abs(expected), 1e-12)
         worst = max(worst, abs(rate - expected) / scale)
     p = SystemParams(omega_a_tilde=0.1, omega_b_tilde=3.0, omega_c_tilde=3.0,
                      n_a=1, n_c=1, nu_a=0.0, nu_b=0.0, nu_c=30.0,
                      gamma_10=1e-6, gamma_20=1.0, gamma_30=1e-6, gamma_40=1.0)
-    report = verify_qss(p, PI / abs(w10(p).phase_rate))
+    report = verify_qss(p, PI / abs(w10(p).real))
     elapsed = time.monotonic() - start
     checks = [
         ("adiabatic-elimination identity <= 1e-10 on 1000 random sets",
@@ -177,7 +177,7 @@ def test_criterion_5_analytic_limits(rng):
                             omega_c_tilde=0.0, n_a=1, n_c=1,
                             nu_a=0.0, nu_b=0.0, nu_c=7.0,
                             gamma_10=0.0, gamma_20=2.0, gamma_30=0.0,
-                            gamma_40=1.0)).value
+                            gamma_40=1.0))
 
     worst_three_level = 0.0
     for _ in range(500):
@@ -192,7 +192,7 @@ def test_criterion_5_analytic_limits(rng):
         if reduced == 0:
             continue
         worst_three_level = max(worst_three_level,
-                                abs(w10(p).value - reduced) / abs(reduced))
+                                abs(w10(p) - reduced) / abs(reduced))
 
     worst_kerr = 0.0
     for _ in range(200):
@@ -207,12 +207,12 @@ def test_criterion_5_analytic_limits(rng):
                          nu_c=rng.uniform(100.0, 1000.0) * knee,
                          gamma_10=0.0, gamma_20=g20, gamma_30=g30, gamma_40=g40)
         kerr = -(p.omega_a ** 2) * p.omega_c ** 2 / (p.nu_c * p.omega_b ** 2)
-        worst_kerr = max(worst_kerr, abs(kerr - w10(p).phase_rate) / abs(kerr))
+        worst_kerr = max(worst_kerr, abs(kerr - w10(p).real) / abs(kerr))
 
     worst_passivity = 0.0
     for _ in range(2000):
         p = random_physical_params(rng)
-        worst_passivity = min(worst_passivity, w10(p).absorption_rate)
+        worst_passivity = min(worst_passivity, w10(p).imag)
 
     _criterion(5, "transparency, three-level reduction, Kerr limit, passivity", [
         ("W10 = 0 at ideal two-photon resonance", dark == 0.0, f"W10 = {dark}"),

@@ -179,8 +179,8 @@ class TestCliLibraryEquivalence:
         p = config.system
         target = PhaseTarget(1.5)
         scale = p.omega_a_tilde
-        assert report["w10_re"] == w10(p).phase_rate / scale
-        assert report["w10_im"] == w10(p).absorption_rate / scale
+        assert report["w10_re"] == w10(p).real / scale
+        assert report["w10_im"] == w10(p).imag / scale
         assert report["tau_eff"] == tau_eff(p, target)
         assert report["optimal_nu_c"] == optimal_detuning(p) / scale
         nu_asym, tau_asym = asymptotic_design(p, target)
@@ -221,7 +221,7 @@ class TestMainEntry:
         assert "w10_re" in report and "gate_time_norm" in report
         # printed numbers parse back to the library values bit for bit
         p = parse_config({}).system
-        assert report["w10_re"] == w10(p).phase_rate / p.omega_a_tilde
+        assert report["w10_re"] == w10(p).real / p.omega_a_tilde
         assert report["gate_time_norm"] == gate_time(p, PhaseTarget(math.pi))
 
     def test_eval_csv(self, capsys):
@@ -236,11 +236,15 @@ class TestMainEntry:
         assert "decoherence_error_overlap_form" in report
         assert "decoherence_error_dual_rail_form" in report
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_kerr_at_zero_detuning_exits_3(self, tmp_path, capsys):
+        # an |Omega_b|^2 that overflows is a degenerate response, not a traceback
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"system": {"nu_c": 0.0}}))
-        assert main(["eval", "--config", str(cfg)]) == 3
-        assert "DivisionByZero" in capsys.readouterr().err
+        for system, error in (({"nu_c": 0.0}, "DivisionByZero"),
+                              ({"omega_b_tilde": 1e160}, "DegenerateDenominator")):
+            cfg.write_text(json.dumps({"system": system}))
+            assert main(["eval", "--config", str(cfg)]) == 3
+            assert error in capsys.readouterr().err
 
     def test_design_forward_flag(self, capsys):
         assert main(["design", "--gamma10", "1e-5"]) == 0

@@ -49,7 +49,7 @@ def kerr_overlap(mu, phi, n_terms):
 
 def component_response(p, n_b, time_norm):
     """Phase and damping of Fock component n_b of the drive, via scalar w10."""
-    w = w10(replace(p, omega_b_tilde=p.omega_b_tilde * math.sqrt(n_b))).value
+    w = w10(replace(p, omega_b_tilde=p.omega_b_tilde * math.sqrt(n_b)))
     nt = time_norm / p.omega_a
     return -w.real * nt, (p.gamma_10 + w.imag) * nt
 
@@ -131,7 +131,7 @@ class TestKerrPhaseState:
             w10(replace(p, omega_b_tilde=0.0))
         grid = _response_grid(p, np.sqrt(np.arange(3.0)), p.omega_c)
         assert grid[0] == 0.0
-        assert grid[1] == w10(replace(p, omega_b_tilde=1.0)).value
+        assert grid[1] == w10(replace(p, omega_b_tilde=1.0))
 
 
 class TestPerComponentResponse:
@@ -148,7 +148,7 @@ class TestPerComponentResponse:
         p = params()
         design = design_point(p, 125.0, 10.0, PI)
         assert _response_grid(p, np.array([0.0]), p.omega_c)[0] == \
-            w10(replace(p, omega_b_tilde=0.0)).value
+            w10(replace(p, omega_b_tilde=0.0))
         phase, damping = component_response(p, 0, design.time_norm)
         assert math.isfinite(phase) and math.isfinite(damping)
         # with no drive the medium is a bare absorber: huge damping, no phase
@@ -174,7 +174,7 @@ class TestPerComponentResponse:
         grid = _response_grid(p, p.omega_b_tilde * np.sqrt(n), p.omega_c)
         for k in (0, 1, 100, 200, 299):
             scalar = w10(replace(p, omega_b_tilde=p.omega_b_tilde * math.sqrt(k)))
-            assert grid[k] == scalar.value
+            assert grid[k] == scalar
 
 
 class TestGateDesign:
@@ -415,14 +415,15 @@ class TestMinAlphaB:
     def test_smaller_target_needs_larger_alpha(self):
         p = params()
         nu = _nu_for(p, 1.0)
-        strict, _ = min_alpha_b(p, PI, 0.02, nu)
-        loose, _ = min_alpha_b(p, PI, 0.1, nu)
+        strict, _ = min_alpha_b(p, PI, 0.02, nu, alpha_c_ratio=10.0)
+        loose, _ = min_alpha_b(p, PI, 0.1, nu, alpha_c_ratio=10.0)
         assert strict.alpha_b > loose.alpha_b
 
-    def test_not_attainable(self):
+    def test_not_attainable(self, monkeypatch):
         p = params()
+        monkeypatch.setattr(coherent_gate, "MIN_ALPHA_MAX", 20.0)
         with pytest.raises(NotAttainable):
-            min_alpha_b(p, PI, 1e-4, _nu_for(p, 1.0), alpha_max=20.0)
+            min_alpha_b(p, PI, 1e-4, _nu_for(p, 1.0), alpha_c_ratio=10.0)
 
 
 def _nu_for(p, alpha, ratio=10.0):

@@ -113,7 +113,7 @@ class TestSearchPath:
         lo, hi = design_optimizer._nu_bracket(p, alpha, cs)
         nu = math.exp(math.log(lo) + position * (math.log(hi) - math.log(lo)))
         full = _two_qubit_budget(p, design_point(p, nu, alpha, cs.phi)).delta_total
-        assert _two_qubit_delta(p, nu, alpha, cs.phi, {}) == full
+        assert _two_qubit_delta(p, nu, alpha, cs.phi) == full
 
     LOSSLESS = dict(omega_a_tilde=1.0, omega_b_tilde=1.0, omega_c_tilde=1.0, n_a=1,
                     n_c=1, nu_a=0.0, nu_b=0.0, nu_c=10.0, gamma_10=0.0, gamma_20=0.0,
@@ -139,7 +139,7 @@ class TestSearchPath:
                                     math.nan))
         full = _raised(lambda: _two_qubit_budget(p, design_point(p, nu, alpha, PI)))
         assert full is expected
-        assert _raised(lambda: _two_qubit_delta(p, nu, alpha, PI, {})) is expected
+        assert _raised(lambda: _two_qubit_delta(p, nu, alpha, PI)) is expected
 
 
 class TestMaxDephasing:
@@ -183,23 +183,26 @@ class TestMaxDephasing:
         monkeypatch.setattr(design_optimizer, "_two_qubit_budget", recorded_budget)
         monkeypatch.setattr(design_optimizer, "_two_qubit_delta", recorded_delta)
         cs = OptimizationConstraints(suppression=1.0)
+        coherent_gate._window.cache_clear()
         gamma, design, budget = max_dephasing(0.2, cs)
-        # all searches of one call share one window table: each distinct
-        # alpha_b has its window built once
-        built = len(windows)
-        assert built == len(alphas)
+        # all searches of one call read the memoized windows: each distinct
+        # alpha_b has its window built once, and the cache holds them all
+        assert len(windows) == len(alphas)
+        assert len(alphas) <= coherent_gate._window.cache_info().maxsize
         assert budget.delta_total <= 0.2 * 1.01
-        # the returned budget, summed over a window from the table, is the
-        # witness design's own with a freshly built window, bit for bit
-        assert budget == _two_qubit_budget(base_params(cs, gamma), design)
         # two bracket ends and one search per bisection step; the search at
         # the final gamma_10 is reused, not run again
         assert len(searches) == 2 + design_optimizer._BISECT_ITERS == 16
         assert searches.count(gamma) == 1
-        # the table lives for one call: an identical call builds every window again
+        # the windows outlive the call: an identical call builds none
         windows.clear()
         assert max_dephasing(0.2, cs) == (gamma, design, budget)
-        assert len(windows) == built
+        assert windows == []
+        # the returned budget, summed over a memoized window, is the witness
+        # design's own with a freshly built window, bit for bit
+        coherent_gate._window.cache_clear()
+        assert budget == _two_qubit_budget(base_params(cs, gamma), design)
+        assert len(windows) == 1
 
     def test_not_attainable(self):
         cs = OptimizationConstraints(alpha_b_range=(1.0, 10.0))
