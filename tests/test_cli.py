@@ -60,7 +60,7 @@ _SYSTEM_FIELDS = {
 _CONSTRAINTS = st.fixed_dictionaries({}, optional={
     "omega_a_over_gamma_20": _POSITIVE, "omega_b_sq_over_omega_c_sq": _POSITIVE,
     "suppression": _POSITIVE, "phi": _POSITIVE, "alpha_c_over_alpha_b": _POSITIVE,
-    "nu_c_range": _ordered_pair(1e-6), "alpha_b_range": _ordered_pair(0.0),
+    "alpha_b_range": _ordered_pair(0.0),
     "mode": st.sampled_from(["two-qubit", "one-qubit"]),
 })
 _OPTIONAL_NUMBER = st.one_of(st.none(), _NUMBER)
@@ -135,11 +135,6 @@ class TestConfigParsing:
     def test_null_for_non_optional_key_named(self):
         with pytest.raises(ConfigError, match="system.gamma_20"):
             parse_config({"system": {"gamma_20": None}})
-
-    def test_null_range_in_constraint_set_means_no_range(self):
-        config = parse_config({"constraints": {"nu_c_range": [1, 2]},
-                               "sweep": {"constraint_sets": [{"nu_c_range": None}, {}]}})
-        assert [cs.nu_c_range for cs in config.sweep.constraint_sets] == [None, (1.0, 2.0)]
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -349,10 +344,12 @@ class TestMainEntry:
     @pytest.mark.parametrize("command, block, key, value", [
         ("check-oracle", "check_oracle", "tol", 1e-10),
         ("eval", "system", "n_atoms", 7),
-    ], ids=["check_oracle.tol", "system.n_atoms"])
+        ("design", "constraints", "nu_c_range", [1, 2]),
+    ], ids=["check_oracle.tol", "system.n_atoms", "constraints.nu_c_range"])
     def test_retired_oracle_tol_key_exits_2(self, tmp_path, capsys, command, block, key, value):
-        # the exact propagator has no tolerance and the atom number changed
-        # no output; old configs fail by name
+        # the exact propagator has no tolerance, the atom number changed no
+        # output and the nu_c search has no settable range; old configs fail
+        # by name
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({block: {key: value}}))
         assert main([command, "--config", str(cfg)]) == 2
