@@ -29,7 +29,7 @@ from .errors import InvalidInput, NotAttainable
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
-WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs read 334
+WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs read 176
 MIN_ALPHA_MAX = 400.0      # largest alpha_b min_alpha_b tries
 MIN_ALPHA_TOL = 0.02       # width of min_alpha_b's final bracket
 

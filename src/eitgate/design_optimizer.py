@@ -3,8 +3,8 @@
 Finds the (nu_c, alpha_b) pair minimizing the total gate error at a given
 ground-state dephasing, inverts that map to the largest tolerable dephasing
 for a target error, and tabulates trade-off curves over a grid.  All searches
-are deterministic: integer-then-refined grids over alpha_b and Brent's
-bounded method on ln nu_c, seeded at the closed-form optimum.
+are deterministic: Brent's bounded method on ln alpha_b, seeded by a scan, with
+Brent on ln nu_c, seeded at the closed-form optimum, nested inside.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
 _BISECT_ITERS = 14
 _CERT_SLACK = 1e-4
 _NU_XATOL = 4.4e-5  # on ln nu_c: half the final bracket of the golden search it replaced
+_ALPHA_SCAN = 24    # geometric scan points over alpha_b_range that seed the Brent bracket
+_ALPHA_XATOL = 1e-3  # on ln alpha_b
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class OptimizationConstraints:
             raise InvalidInput("amplitude ratios must be > 0")
         if self.mode not in (TWO_QUBIT, ONE_QUBIT):
             raise InvalidInput(f"mode must be '{TWO_QUBIT}' or '{ONE_QUBIT}'")
-        if self.alpha_b_range[0] >= self.alpha_b_range[1] or self.alpha_b_range[0] < 0:
-            raise InvalidInput(f"bad alpha_b_range {self.alpha_b_range}")
+        if not 0 < self.alpha_b_range[0] < self.alpha_b_range[1]:  # searched on ln alpha_b
+            raise InvalidInput(f"alpha_b_range must be 0 < lo < hi, got {self.alpha_b_range}")
         if self.phi <= 0:
             raise InvalidInput(f"phi must be > 0, got {self.phi}")
         if self.alpha_c_over_alpha_b <= 0:
@@ -144,51 +146,44 @@ def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
 
 
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
-    """Grid-over-alpha / Brent-over-ln-nu minimization of the total error.
+    """Minimization of the total error over (ln alpha_b, ln nu_c).
 
-    Every point of the search is ranked by _two_qubit_delta alone; the full
-    design and budget are built once, at the result.
+    The best point of a geometric alpha_b scan, ranked at the closed-form
+    nu_c seed, and its two neighbours bracket Brent's search on ln alpha_b,
+    widened by one scan interval while the optimum sits at an inner bracket
+    end.  Every point is ranked by _two_qubit_delta alone; the full design
+    and budget are built once, at the result.
     """
     params = base_params(constraints, gamma_10)
     phi = constraints.phi
-    a_lo, a_hi = constraints.alpha_b_range
-    integers = np.arange(math.ceil(a_lo), math.floor(a_hi) + 1, dtype=float)
-    if len(integers) == 0:
-        raise InvalidInput("alpha_b_range contains no integer grid point")
+    scan = np.log(np.geomspace(*constraints.alpha_b_range, _ALPHA_SCAN)).tolist()
 
-    # cheap pre-scan at the bracket's geometric centre, the closed-form
-    # optimum, ranks the integer grid
-    def at_seed(alpha):
+    def at_seed(x):
+        alpha = math.exp(x)
         lo, hi = _nu_bracket(params, alpha)
         return _two_qubit_delta(params, math.sqrt(lo * hi), alpha, phi)
 
-    coarse = np.array([at_seed(a) for a in integers])
-    order = np.argsort(coarse, kind="stable")[:4]
-    candidates = set()
-    for idx in order:
-        for j in (idx - 1, idx, idx + 1):
-            if 0 <= j < len(integers):
-                candidates.add(float(integers[j]))
+    found = {}   # ln alpha_b -> (nu_c, delta_total)
 
-    # best is (delta_total, alpha_b, nu_c)
-    best = None
-    for alpha in sorted(candidates):
-        nu, delta = _two_qubit_min_nu(params, alpha, constraints)
-        if best is None or delta < best[0]:
-            best = (delta, alpha, nu)
+    def at_min_nu(x):
+        found[x] = _two_qubit_min_nu(params, math.exp(x), constraints)
+        return found[x][1]
 
-    # 0.1 refinement around the best integer
-    a0 = best[1]
-    for alpha in np.arange(max(a_lo, a0 - 1.0), min(a_hi, a0 + 1.0) + 1e-9, 0.1):
-        alpha = round(float(alpha), 10)
-        nu, delta = _two_qubit_min_nu(params, alpha, constraints)
-        if delta < best[0]:
-            best = (delta, alpha, nu)
+    best = int(np.argmin([at_seed(x) for x in scan]))
+    last = len(scan) - 1
+    i, j = max(best - 1, 0), min(best + 1, last)
+    while True:
+        x = float(minimize_scalar(at_min_nu, bounds=(scan[i], scan[j]), method="bounded",
+                                  options={"xatol": _ALPHA_XATOL}).x)
+        # Brent stops within _ALPHA_XATOL of a bracket end it runs into
+        at_lo, at_hi = x - scan[i] <= 2 * _ALPHA_XATOL, scan[j] - x <= 2 * _ALPHA_XATOL
+        at_edge = (at_lo and i == 0) or (at_hi and j == last)
+        if at_edge or not (at_lo or at_hi):
+            break
+        i, j = (i - 1, j) if at_lo else (i, j + 1)
 
-    _, alpha, nu = best
-    design = design_point(params, nu, alpha, phi)
+    design = design_point(params, found[x][0], math.exp(x), phi)
     budget = _two_qubit_budget(params, design)
-    at_edge = alpha <= integers[0] or alpha >= integers[-1]
     return params, design, budget, at_edge
 
 
@@ -236,10 +231,11 @@ def optimize_design(gamma_10: float,
                     constraints: OptimizationConstraints) -> tuple[GateDesign, ErrorBudget]:
     """Design minimizing the total gate error at the given dephasing.
 
-    Two-qubit mode searches alpha_b on an integer-then-0.1 grid with, inside
-    it, Brent's bounded minimization over ln nu_c (to within _NU_XATOL) on
-    two decades either side of the closed-form optimum, and certifies the
-    result against +/-5% perturbations on both axes.  One-qubit mode puts
+    Two-qubit mode runs Brent's bounded minimization over ln alpha_b (to
+    within _ALPHA_XATOL) around the best point of a geometric scan with,
+    inside it, the same over ln nu_c (to within _NU_XATOL) on two decades
+    either side of the closed-form optimum, and certifies the result against
+    +/-5% perturbations on both axes.  One-qubit mode puts
     nu_c at the closed-form minimizer of the decoherence floor and reports
     the smallest alpha_b whose spread error stays below that floor.
 

@@ -46,8 +46,8 @@ _RATE = st.floats(0.0, 10.0)
 
 
 def _ordered_pair(low):
-    """[lo, hi] with low <= lo < hi."""
-    return st.tuples(st.floats(low, 1e3), st.floats(1e-3, 1e3)).map(
+    """[lo, hi] with low < lo < hi."""
+    return st.tuples(st.floats(low, 1e3, exclude_min=True), st.floats(1e-3, 1e3)).map(
         lambda t: [t[0], t[0] + t[1]])
 
 
@@ -323,6 +323,15 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"design": {"delta_target": 0.7}}))
         assert main(["design", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["design", "--gamma10", "1e-6"],
+                                         ["design", "--delta", "0.2"], ["sweep"]])
+    def test_zero_alpha_b_floor_exits_2(self, tmp_path, capsys, command):
+        # alpha_b is searched on a log axis, so the range must start above 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"constraints": {"alpha_b_range": [0, 0.5]}}))
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert "alpha_b_range" in capsys.readouterr().err
 
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
         # Python's json accepts NaN and Infinity; the config parser must not

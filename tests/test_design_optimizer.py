@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitgate import (DegenerateDenominator, GateModelError, InvalidInput, NotAttainable,
-                     OptimizationConstraints, PhaseTarget, SweepSpec, SystemParams,
-                     ZeroPhaseRate, base_params, design_point, max_dephasing,
+from eitgate import (DegenerateDenominator, GateModelError, InvalidInput, NoConvergence,
+                     NotAttainable, OptimizationConstraints, PhaseTarget, SweepSpec,
+                     SystemParams, ZeroPhaseRate, base_params, design_point, max_dephasing,
                      optimal_detuning, optimize_design, sweep, tau_eff_at_optimum)
 from eitgate import coherent_gate, design_optimizer
 from eitgate.coherent_gate import _two_qubit_budget, _two_qubit_delta
@@ -30,6 +30,12 @@ class TestConstraints:
             OptimizationConstraints(mode="qutrit")
         with pytest.raises(InvalidInput):
             OptimizationConstraints(alpha_b_range=(5.0, 2.0))
+
+    @pytest.mark.parametrize("low", [0.0, -1.0])
+    def test_non_positive_alpha_b_floor_rejected(self, low):
+        # alpha_b is searched on a log axis, which cannot start at 0
+        with pytest.raises(InvalidInput, match="alpha_b_range"):
+            OptimizationConstraints(alpha_b_range=(low, 0.5))
 
     def test_non_finite_rejected(self):
         for bad in ({"suppression": math.nan}, {"phi": math.inf},
@@ -86,6 +92,52 @@ class TestOptimizeDesign:
         with pytest.raises(InvalidInput):
             optimize_design(0.0, OptimizationConstraints())
 
+    def test_search_cost(self, monkeypatch):
+        # the 24-point scan, the nested Brent searches and the certificate;
+        # an integer-then-0.1 grid over alpha_b needs about 350 calls here
+        calls = []
+        delta = design_optimizer._two_qubit_delta
+
+        def counted(*args):
+            calls.append(args)
+            return delta(*args)
+
+        monkeypatch.setattr(design_optimizer, "_two_qubit_delta", counted)
+        optimize_design(1e-6, OptimizationConstraints())
+        assert len(calls) <= 130
+
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    def test_no_worse_than_the_tenth_grid(self, suppression):
+        # the continuous search beats every 0.1-grid alpha_b within +/-1 of
+        # its result, each searched over nu_c as the search itself does
+        cs = OptimizationConstraints(suppression=suppression)
+        design, budget = optimize_design(1e-6, cs)
+        p = base_params(cs, 1e-6)
+        grid = np.round(round(design.alpha_b, 1) + 0.1 * np.arange(-10, 11), 10)
+        best = min(design_optimizer._two_qubit_min_nu(p, a, cs)[1] for a in grid)
+        assert budget.delta_total <= best
+
+    @pytest.mark.parametrize("alpha_b_range", [(1.0, 10.0), (20.0, 150.0)])
+    def test_optimum_outside_range_does_not_converge(self, alpha_b_range):
+        # the optimum at gamma_10 1e-6 sits at alpha_b ~ 12
+        with pytest.raises(NoConvergence, match="edge"):
+            optimize_design(1e-6, OptimizationConstraints(alpha_b_range=alpha_b_range))
+
+    @pytest.mark.parametrize("target, edge", [(30.0, False), (200.0, True)])
+    def test_bracket_widens_past_the_scan(self, monkeypatch, target, edge):
+        # the scan ranks alpha_b 10 best, but the nested search's minimum
+        # lies at target, several scan intervals away: the bracket widens
+        # until it holds the minimum, or reports the range's edge
+        monkeypatch.setattr(design_optimizer, "_two_qubit_delta",
+                            lambda params, nu, alpha, phi: abs(math.log(alpha / 10.0)))
+        monkeypatch.setattr(design_optimizer, "_two_qubit_min_nu",
+                            lambda params, alpha, cs: (100.0, math.log(alpha / target) ** 2))
+        _, design, _, at_edge = design_optimizer._two_qubit_optimize(
+            1e-6, OptimizationConstraints())
+        assert at_edge is edge
+        end = min(target, 150.0)
+        assert abs(math.log(design.alpha_b / end)) <= 2 * design_optimizer._ALPHA_XATOL
+
 
 def _raised(call):
     try:
@@ -99,9 +151,8 @@ class TestSearchPath:
     """The searches rank points by _two_qubit_delta; it is the full budget's
     delta_total, bit for bit, and fails wherever the full path fails."""
 
-    # the integer prescan grid and the 0.1 refinement steps
-    ALPHAS = st.one_of(st.integers(1, 150).map(float),
-                       st.integers(10, 1500).map(lambda k: round(k * 0.1, 10)))
+    # the search evaluates alpha_b anywhere in the default range
+    ALPHAS = st.floats(1.0, 150.0)
 
     @settings(max_examples=150, deadline=None)
     @given(log_gamma=st.floats(-9.0, -2.0), suppression=st.sampled_from([1.0, 1e-3]),
