@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 from scipy.linalg import eigh_tridiagonal
-from scipy.stats import poisson
 
 from .analytic_design import PhaseTarget, gate_time
 from .core_model import SystemParams, _w10_terms
@@ -110,30 +110,31 @@ class ErrorBudget:
 def _poisson_window(mu: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Fock indices covering all but <= EPS_TRUNC of Poisson(mu), with weights.
 
-    Returns (indices, weights, missing) where missing is the cdf/sf-verified
-    mass outside the window, at most EPS_TRUNC / 2 on each side.  The
-    quantile-function guesses are checked and widened if needed (scipy's
-    discrete quantile inversion drifts at extreme quantiles for large mu), and
-    the missing mass is measured through cdf/sf rather than 1 - sum(pmf): the
-    pmf bulk carries a coherent relative rounding of order mu * eps_machine
-    that would otherwise be mistaken for truncated mass.
+    Returns (indices, weights, missing) where missing is the mass outside the
+    window, at most EPS_TRUNC / 2 on each side.  Weights and tails use the
+    scipy.special calls behind the pmf, sf and cdf of scipy's poisson, so they
+    match it bit for bit.  The ends are read off the cumulative pmf over a grid
+    reaching 10 sqrt(mu) + 30 either side of the mean (the mass beyond is below
+    1e-20).  Each end takes one index of slack, so that the sums' rounding
+    cannot leave a side above its bound; the exact tails are then checked.
+    missing is measured rather than taken as 1 - sum(pmf): the pmf bulk carries
+    a coherent relative rounding of order mu * eps_machine that would
+    otherwise be mistaken for truncated mass.
     """
     if mu == 0.0:
         return np.array([0]), np.array([1.0]), 0.0
     side = EPS_TRUNC / 2.0
-    step = max(1, int(0.02 * math.sqrt(mu)))
-    hi = int(poisson.isf(side, mu)) + 1
-    upper = float(poisson.sf(hi, mu))
-    while upper > side:
-        hi += step
-        upper = float(poisson.sf(hi, mu))
-    lo = max(0, int(poisson.ppf(side, mu)) - 1)
-    lower = float(poisson.cdf(lo - 1, mu)) if lo > 0 else 0.0
-    while lower > side:
-        lo = max(0, lo - step)
-        lower = float(poisson.cdf(lo - 1, mu)) if lo > 0 else 0.0
-    n = np.arange(lo, hi + 1)
-    return n, poisson.pmf(n, mu), upper + lower
+    reach = 10.0 * math.sqrt(mu) + 30.0
+    bottom, top = max(0, int(mu - reach)), int(mu + reach)
+    grid = np.arange(bottom, top + 1)
+    pmf = np.exp(special.xlogy(grid, mu) - special.gammaln(grid + 1) - mu)
+    lo = max(0, bottom + int(np.searchsorted(np.cumsum(pmf), side, "right")) - 1)
+    hi = top - int(np.searchsorted(np.cumsum(pmf[::-1]), side, "right")) + 1
+    upper = float(special.pdtrc(hi, mu))
+    lower = float(special.pdtr(lo - 1, mu)) if lo > 0 else 0.0
+    if not bottom <= lo <= hi <= top or upper > side or lower > side:
+        raise ArithmeticError(f"Poisson window at mu = {mu} leaves out more than {EPS_TRUNC}")
+    return np.arange(lo, hi + 1), pmf[lo - bottom:hi - bottom + 1], upper + lower
 
 
 def _response_grid(params: SystemParams, omega_b, omega_c):

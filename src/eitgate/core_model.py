@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import DegenerateDenominator, DivisionByZero, InvalidInput, RegimeWarning
 
-# Relative tolerance floors: singularity detection and passivity slack.
+# Relative tolerance floor of the singularity detection.
 EPS_DEN = 1e-12
-EPS_NUM = 1e-12
 
 
 @dataclass(frozen=True)

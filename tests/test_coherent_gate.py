@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import eitgate
 from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, InvalidInput,
                      NotAttainable, SystemParams, design_point, min_alpha_b,
                      optimal_detuning, w10)
@@ -89,6 +93,32 @@ class TestTruncationBound:
             # scipy's pmf bulk carries a relative rounding of order mu * eps_machine
             tol = 1e-12 + 10 * mu * np.finfo(float).eps
             assert math.fsum(weights) + missing == pytest.approx(1.0, abs=tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.one_of(st.just(0.0),
+                        st.floats(math.log(1e-6), math.log(1e5)).map(math.exp)))
+    def test_window_matches_scipy_stats(self, mu):
+        n, weights, missing = _poisson_window(mu)
+        lo, hi = int(n[0]), int(n[-1])
+        assert np.array_equal(n, np.arange(lo, hi + 1))
+        side = EPS_TRUNC / 2
+        upper, lower = poisson.sf(hi, mu), poisson.cdf(lo - 1, mu)
+        assert upper <= side and lower <= side
+        assert missing == upper + lower
+        assert np.array_equal(weights, poisson.pmf(n, mu))
+        # each end at most one index beyond the shortest window: moved in by
+        # two indices, either end leaves out more than its side's bound
+        assert poisson.sf(hi - 2, mu) > side and poisson.cdf(lo + 1, mu) > side
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter, since the test modules import scipy.stats themselves
+    src = os.path.dirname(os.path.dirname(eitgate.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, eitgate; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"
 
 
 class TestKerrPhaseState:
