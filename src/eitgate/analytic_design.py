@@ -1,19 +1,22 @@
 """Closed-form design expressions for the phase gate.
 
 Effective decoherence exposure, the detuning that minimizes it, the
-asymptotic pi-gate regime, and the Fock-input dephasing bound.  Everything
-here is algebra on SystemParams; the exact response w10 is used wherever a
-rate is needed, never its asymptotic form, so the closed forms can be
-cross-checked against numerical minimization.
+asymptotic pi-gate regime, the Fock-input dephasing bound, and a Gaussian
+model of the coherent-drive two-qubit error with its optimum over the drive
+amplitude.  Everything else here is algebra on SystemParams; the exact
+response W10 is used wherever a rate is needed, never its asymptotic form,
+so the closed forms can be cross-checked against numerical minimization.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core_model import SystemParams, w10
+from scipy.optimize import minimize_scalar
+
+from .core_model import SystemParams, _w10_terms, w10
 from .errors import (DegenerateParams, DivisionByZero, InvalidInput, RegimeWarning,
                      ZeroPhaseRate)
 
@@ -131,6 +134,41 @@ def tau_eff_at_optimum(params: SystemParams, target: PhaseTarget) -> float:
                      * (params.gamma_10 * f.gamma_20_tilde + params.omega_a ** 2))
     return (2.0 * root * (f.q_b_sq / params.omega_b ** 2)
             * (f.q_c_sq / params.omega_c ** 2) * target.phi / params.omega_a ** 2)
+
+
+def gaussian_error(params: SystemParams, alpha_b: float, target: PhaseTarget) -> float:
+    """Second-cumulant model of the two-qubit gate error.
+
+    params carries the per-photon drive amplitude; the drive is coherent
+    with amplitude alpha_b, so n_b is Poisson(alpha_b^2).  nu_c is
+    `optimal_detuning` at the mean component and tau its `tau_eff`.  To
+    second order in n_b - alpha_b^2 the phase phi_n has variance
+    (phi s / alpha_b)^2, with s = d ln Re W10 / d ln n_b at the mean
+    (a central difference of the W10 formula), so
+
+        delta = 1 - exp(-2 tau - (phi s / alpha_b)^2).
+    """
+    omega_b = params.omega_b_tilde * alpha_b
+    mean = replace(params, omega_b_tilde=omega_b)
+    mean = replace(mean, nu_c=optimal_detuning(mean))
+    tau = tau_eff(mean, target)
+    h = 1e-4
+    up, down = ((num / den).real for num, den, _ in (
+        _w10_terms(mean, omega_b * math.sqrt(1.0 + d), mean.omega_c) for d in (h, -h)))
+    s = math.log(up / down) / math.log((1.0 + h) / (1.0 - h))
+    return 1.0 - math.exp(-2.0 * tau - (target.phi * s / alpha_b) ** 2)
+
+
+def gaussian_design(params: SystemParams, target: PhaseTarget,
+                    alpha_b_range: tuple[float, float]) -> tuple[float, float]:
+    """(alpha_b, delta) minimizing `gaussian_error` over alpha_b_range.
+
+    Brent's bounded method on ln alpha_b (Brent 1973, ch. 5) to within 1e-2.
+    """
+    result = minimize_scalar(lambda x: gaussian_error(params, math.exp(x), target),
+                             bounds=tuple(map(math.log, alpha_b_range)), method="bounded",
+                             options={"xatol": 1e-2})
+    return math.exp(result.x), result.fun
 
 
 def asymptotic_design(params: SystemParams, target: PhaseTarget) -> tuple[float, float]:

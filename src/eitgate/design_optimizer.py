@@ -3,8 +3,11 @@
 Finds the (nu_c, alpha_b) pair minimizing the total gate error at a given
 ground-state dephasing, inverts that map to the largest tolerable dephasing
 for a target error, and tabulates trade-off curves over a grid.  All searches
-are deterministic: Brent's bounded method on ln alpha_b, seeded by a scan, with
-Brent on ln nu_c, seeded at the closed-form optimum, nested inside.
+are deterministic: Brent's bounded method on ln alpha_b, bracketed around the
+optimum of the closed-form Gaussian model (`analytic_design.gaussian_design`),
+with Brent on ln nu_c, seeded at the closed-form optimum, nested inside.  The
+inversion bisects a fixed lattice of gamma_10 from a bracket around the
+model's own inverse, which it validates and widens before trusting.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
-from .analytic_design import PhaseTarget, optimal_detuning, tau_eff
+from .analytic_design import PhaseTarget, gaussian_design, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
                             _two_qubit_budget, _two_qubit_delta, _unchecked,
                             design_point, min_alpha_b)
@@ -25,9 +27,12 @@ from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
                      NoConvergence, NotAttainable, RegimeWarning)
 
 _BISECT_ITERS = 14
+_GAMMA_SPAN = (1e-14, 1e-1)   # the lattice of max_dephasing: 2**_BISECT_ITERS steps
+_GAMMA_STEP = math.log(_GAMMA_SPAN[1] / _GAMMA_SPAN[0]) / 2 ** _BISECT_ITERS
+_GAMMA_SEED = 1.05  # the inversion's first bracket: the model's gamma_10 times this^+-1
 _CERT_SLACK = 1e-4
 _NU_XATOL = 4.4e-5  # on ln nu_c: half the final bracket of the golden search it replaced
-_ALPHA_SCAN = 24    # geometric scan points over alpha_b_range that seed the Brent bracket
+_ALPHA_SEED = 1.25  # the alpha_b bracket: the model's alpha_b times this^+-1, widened by it
 _ALPHA_XATOL = 1e-3  # on ln alpha_b
 
 
@@ -145,23 +150,38 @@ def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
                        *_nu_bracket(params, alpha_b))
 
 
+def _model(gamma_10: float, constraints: OptimizationConstraints):
+    """(alpha_b, delta) of the Gaussian model's optimum at gamma_10.
+
+    Only a seed: it raises whatever the closed forms raise, and its values
+    may be non-finite; every caller validates what it takes from it.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        return gaussian_design(base_params(constraints, gamma_10),
+                               PhaseTarget(constraints.phi), constraints.alpha_b_range)
+
+
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
     """Minimization of the total error over (ln alpha_b, ln nu_c).
 
-    The best point of a geometric alpha_b scan, ranked at the closed-form
-    nu_c seed, and its two neighbours bracket Brent's search on ln alpha_b,
-    widened by one scan interval while the optimum sits at an inner bracket
-    end.  Every point is ranked by _two_qubit_delta alone; the full design
-    and budget are built once, at the result.
+    Brent's search on ln alpha_b starts from the Gaussian model's alpha_b
+    times _ALPHA_SEED^+-1, clipped to alpha_b_range (from the range's
+    geometric centre where the model fails), and the bracket widens by that
+    factor while the optimum sits at an inner bracket end.  Every point is
+    ranked by _two_qubit_delta alone; the full design and budget are built
+    once, at the result.
     """
     params = base_params(constraints, gamma_10)
     phi = constraints.phi
-    scan = np.log(np.geomspace(*constraints.alpha_b_range, _ALPHA_SCAN)).tolist()
-
-    def at_seed(x):
-        alpha = math.exp(x)
-        lo, hi = _nu_bracket(params, alpha)
-        return _two_qubit_delta(params, math.sqrt(lo * hi), alpha, phi)
+    low, high = map(math.log, constraints.alpha_b_range)
+    try:
+        seed = math.log(_model(gamma_10, constraints)[0])
+    except (GateModelError, ArithmeticError, ValueError):
+        seed = math.nan
+    if not math.isfinite(seed):
+        seed = 0.5 * (low + high)
+    seed = min(high, max(low, seed))
 
     found = {}   # ln alpha_b -> (nu_c, delta_total)
 
@@ -169,18 +189,17 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
         found[x] = _two_qubit_min_nu(params, math.exp(x), constraints)
         return found[x][1]
 
-    best = int(np.argmin([at_seed(x) for x in scan]))
-    last = len(scan) - 1
-    i, j = max(best - 1, 0), min(best + 1, last)
+    step = math.log(_ALPHA_SEED)
+    lo, hi = max(low, seed - step), min(high, seed + step)
     while True:
-        x = float(minimize_scalar(at_min_nu, bounds=(scan[i], scan[j]), method="bounded",
+        x = float(minimize_scalar(at_min_nu, bounds=(lo, hi), method="bounded",
                                   options={"xatol": _ALPHA_XATOL}).x)
         # Brent stops within _ALPHA_XATOL of a bracket end it runs into
-        at_lo, at_hi = x - scan[i] <= 2 * _ALPHA_XATOL, scan[j] - x <= 2 * _ALPHA_XATOL
-        at_edge = (at_lo and i == 0) or (at_hi and j == last)
+        at_lo, at_hi = x - lo <= 2 * _ALPHA_XATOL, hi - x <= 2 * _ALPHA_XATOL
+        at_edge = (at_lo and lo == low) or (at_hi and hi == high)
         if at_edge or not (at_lo or at_hi):
             break
-        i, j = (i - 1, j) if at_lo else (i, j + 1)
+        lo, hi = (max(low, lo - step), hi) if at_lo else (lo, min(high, hi + step))
 
     design = design_point(params, found[x][0], math.exp(x), phi)
     budget = _two_qubit_budget(params, design)
@@ -232,8 +251,8 @@ def optimize_design(gamma_10: float,
     """Design minimizing the total gate error at the given dephasing.
 
     Two-qubit mode runs Brent's bounded minimization over ln alpha_b (to
-    within _ALPHA_XATOL) around the best point of a geometric scan with,
-    inside it, the same over ln nu_c (to within _NU_XATOL) on two decades
+    within _ALPHA_XATOL) around the Gaussian model's optimum with, inside
+    it, the same over ln nu_c (to within _NU_XATOL) on two decades
     either side of the closed-form optimum, and certifies the result against
     +/-5% perturbations on both axes.  One-qubit mode puts
     nu_c at the closed-form minimizer of the decoherence floor and reports
@@ -263,51 +282,111 @@ def _one_qubit_design(gamma_10: float, constraints: OptimizationConstraints):
                            alpha_c_ratio=constraints.alpha_c_over_alpha_b)
 
 
+def _model_gamma(delta_target: float, constraints: OptimizationConstraints):
+    """gamma_10 at which the Gaussian model's optimum meets delta_target.
+
+    brentq on ln delta* - ln delta_target over ln gamma_10 in _GAMMA_SPAN;
+    None when the model has no root there or fails.
+    """
+    def excess(x):
+        return math.log(_model(math.exp(x), constraints)[1] / delta_target)
+
+    try:
+        return math.exp(brentq(excess, *map(math.log, _GAMMA_SPAN), xtol=1e-2))
+    except (GateModelError, ArithmeticError, ValueError):  # ValueError: no sign change
+        return None
+
+
+def _lattice(k: int) -> float:
+    """gamma_k = 1e-14 exp(k _GAMMA_STEP), computed as a plain bisection of
+    _GAMMA_SPAN reaches it.
+
+    Each value is the geometric mean of the values at the two ends of its
+    dyadic bracket, so it equals that bisection's bit for bit.
+    """
+    a, b = 0, 2 ** _BISECT_ITERS
+    lo, hi = _GAMMA_SPAN
+    while k != a:
+        if k == b:
+            return hi
+        mid, gamma = (a + b) // 2, math.sqrt(lo * hi)
+        a, b, lo, hi = (a, mid, lo, gamma) if k < mid else (mid, b, gamma, hi)
+    return lo
+
+
 def max_dephasing(delta_target: float, constraints: OptimizationConstraints
                   ) -> tuple[float, GateDesign, ErrorBudget]:
-    """Largest gamma_10 whose optimized error stays within delta_target.
+    """Largest lattice gamma_10 whose optimized error stays within delta_target.
 
-    Bisection on log gamma_10, valid because the optimized error is
-    monotone nondecreasing in the dephasing.  Returns (gamma_10, design,
-    budget); a two-qubit design is the search the bisection ran there.
+    The lattice is gamma_k = 1e-14 exp(k h), k = 0 .. 2**_BISECT_ITERS, with
+    h = ln(1e13) / 2**_BISECT_ITERS, so it spans _GAMMA_SPAN = [1e-14, 1e-1].
+    The result is the largest gamma_k whose optimized error is at most
+    delta_target, provided that error is monotone nondecreasing in the
+    dephasing.  Two-qubit mode bisects on k from a bracket of
+    _GAMMA_SEED^+-1 around the Gaussian model's inverse (`_model_gamma`).
+    Each end is checked by a full search; while one fails, the bracket
+    steps outward past it, each step twice the last.  Without a model
+    root, and in one-qubit mode (which bisects on the decoherence floor),
+    the bracket is the whole lattice: the plain bisection.  Returns
+    (gamma_10, design, budget); a two-qubit design is the search the
+    bisection ran there, and its delta_total is at most delta_target.
 
     Raises
     ------
     NotAttainable
         If even vanishing dephasing cannot reach delta_target (the
         coherent-spread floor is above it).
+    NoConvergence
+        If the returned two-qubit design misses delta_target, or its search
+        fails to certify.
     """
     if not 0.0 < delta_target < 0.5:
         raise InvalidInput(f"delta_target must be in (0, 0.5), got {delta_target}")
-    searches = {}
+    top = 2 ** _BISECT_ITERS
+    deltas, searches = {}, {}
 
-    def optimized_delta(gamma: float) -> float:
-        if constraints.mode == ONE_QUBIT:
-            return _one_qubit_dec_limit(gamma, constraints)[1]
-        searches[gamma] = _two_qubit_optimize(gamma, constraints)
-        return searches[gamma][2].delta_total
+    def meets(k: int) -> bool:
+        if k not in deltas:
+            gamma = _lattice(k)
+            if constraints.mode == ONE_QUBIT:
+                deltas[k] = _one_qubit_dec_limit(gamma, constraints)[1]
+            else:
+                searches[k] = _two_qubit_optimize(gamma, constraints)
+                deltas[k] = searches[k][2].delta_total
+        return deltas[k] <= delta_target
 
-    lo, hi = 1e-14, 1e-1
-    if optimized_delta(lo) > delta_target:
-        raise NotAttainable(
-            f"error floor at gamma_10 = {lo} already exceeds {delta_target}")
-    if optimized_delta(hi) <= delta_target:
-        warnings.warn(f"delta_target {delta_target} attainable even at gamma_10 = {hi}; "
-                      "returning the bracket top", RegimeWarning, stacklevel=2)
-        lo = hi
-    for _ in range(_BISECT_ITERS):
-        if lo == hi:
+    lo, hi = 0, top
+    if constraints.mode == TWO_QUBIT:
+        guess = _model_gamma(delta_target, constraints)
+        if guess is not None:
+            k = math.log(guess / _GAMMA_SPAN[0]) / _GAMMA_STEP
+            reach = math.log(_GAMMA_SEED) / _GAMMA_STEP
+            lo, hi = max(0, math.floor(k - reach)), min(top, math.ceil(k + reach))
+    width = hi - lo
+    while not meets(lo):
+        if lo == 0:
+            raise NotAttainable(f"error floor at gamma_10 = {_GAMMA_SPAN[0]} already "
+                                f"exceeds {delta_target}")
+        lo, hi, width = max(0, lo - width), lo, 2 * width
+    while meets(hi):
+        if hi == top:
+            warnings.warn(f"delta_target {delta_target} attainable even at gamma_10 = "
+                          f"{_GAMMA_SPAN[1]}; returning the bracket top",
+                          RegimeWarning, stacklevel=2)
+            lo = hi
             break
-        mid = math.sqrt(lo * hi)
-        if optimized_delta(mid) <= delta_target:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi, width = hi, min(top, hi + width), 2 * width
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if meets(mid) else (lo, mid)
+    gamma = _lattice(lo)
     if constraints.mode == ONE_QUBIT:
-        design, budget = _one_qubit_design(lo, constraints)
-    else:
-        design, budget = _certified(*searches[lo], constraints)
-    return lo, design, budget
+        return (gamma, *_one_qubit_design(gamma, constraints))
+    design, budget = _certified(*searches[lo], constraints)
+    if not budget.delta_total <= delta_target:
+        raise NoConvergence(f"inversion returned delta_total {budget.delta_total!r} "
+                            f"above its target {delta_target!r}")
+    return gamma, design, budget
 
 
 def _row_from_design(gamma_10, design, budget, constraints) -> SweepRow:

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitgate import (DegenerateDenominator, GateModelError, InvalidInput, NoConvergence,
-                     NotAttainable, OptimizationConstraints, PhaseTarget, SweepSpec,
-                     SystemParams, ZeroPhaseRate, base_params, design_point, max_dephasing,
-                     optimal_detuning, optimize_design, sweep, tau_eff_at_optimum)
+from eitgate import (DegenerateDenominator, DegenerateParams, ErrorBudget, GateModelError,
+                     InvalidInput, NoConvergence, NotAttainable, OptimizationConstraints,
+                     PhaseTarget, RegimeWarning, SweepSpec, SystemParams, ZeroPhaseRate,
+                     base_params, design_point, max_dephasing, optimal_detuning,
+                     optimize_design, sweep, tau_eff_at_optimum)
 from eitgate import coherent_gate, design_optimizer
+from eitgate.analytic_design import gaussian_error
 from eitgate.coherent_gate import _two_qubit_budget, _two_qubit_delta
 
 PI = math.pi
@@ -53,6 +55,10 @@ class TestConstraints:
         assert p.nu_a == p.nu_b == 0.0
 
 
+def _no_model(gamma, cs):
+    raise DegenerateParams("no model")
+
+
 class TestOptimizeDesign:
     def test_forward_reference_point(self):
         cs = OptimizationConstraints(suppression=1.0)
@@ -93,8 +99,9 @@ class TestOptimizeDesign:
             optimize_design(0.0, OptimizationConstraints())
 
     def test_search_cost(self, monkeypatch):
-        # the 24-point scan, the nested Brent searches and the certificate;
-        # an integer-then-0.1 grid over alpha_b needs about 350 calls here
+        # the nested Brent searches from the model's bracket and the
+        # certificate: 58 calls measured, bound with a margin of 12; a
+        # 24-point scan seed took 75 and an integer-then-0.1 grid about 350
         calls = []
         delta = design_optimizer._two_qubit_delta
 
@@ -104,7 +111,7 @@ class TestOptimizeDesign:
 
         monkeypatch.setattr(design_optimizer, "_two_qubit_delta", counted)
         optimize_design(1e-6, OptimizationConstraints())
-        assert len(calls) <= 130
+        assert len(calls) <= 70
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_no_worse_than_the_tenth_grid(self, suppression):
@@ -123,13 +130,18 @@ class TestOptimizeDesign:
         with pytest.raises(NoConvergence, match="edge"):
             optimize_design(1e-6, OptimizationConstraints(alpha_b_range=alpha_b_range))
 
+    @pytest.mark.parametrize("seed", [
+        lambda gamma, cs: (10.0, 0.2),
+        lambda gamma, cs: (math.nan, math.nan),
+        _no_model,
+    ], ids=["model", "nan", "raises"])
     @pytest.mark.parametrize("target, edge", [(30.0, False), (200.0, True)])
-    def test_bracket_widens_past_the_scan(self, monkeypatch, target, edge):
-        # the scan ranks alpha_b 10 best, but the nested search's minimum
-        # lies at target, several scan intervals away: the bracket widens
-        # until it holds the minimum, or reports the range's edge
-        monkeypatch.setattr(design_optimizer, "_two_qubit_delta",
-                            lambda params, nu, alpha, phi: abs(math.log(alpha / 10.0)))
+    def test_bracket_widens_from_the_seed(self, monkeypatch, seed, target, edge):
+        # the bracket starts at the model's alpha_b 10, or at the range's
+        # geometric centre 12.2 where the model fails, times 1.25^+-1; the
+        # nested search's minimum lies at target, several factors away: the
+        # bracket widens until it holds the minimum, or reports the edge
+        monkeypatch.setattr(design_optimizer, "_model", seed)
         monkeypatch.setattr(design_optimizer, "_two_qubit_min_nu",
                             lambda params, alpha, cs: (100.0, math.log(alpha / target) ** 2))
         _, design, _, at_edge = design_optimizer._two_qubit_optimize(
@@ -137,6 +149,28 @@ class TestOptimizeDesign:
         assert at_edge is edge
         end = min(target, 150.0)
         assert abs(math.log(design.alpha_b / end)) <= 2 * design_optimizer._ALPHA_XATOL
+
+
+class TestGaussianModel:
+    """The closed-form model against the full search on a 12-point grid."""
+
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 5e-4])
+    def test_matches_the_search(self, gamma, suppression):
+        # measured: alpha_b within 6.0% and delta within 2.6%
+        cs = OptimizationConstraints(suppression=suppression)
+        alpha, delta = design_optimizer._model(gamma, cs)
+        design, budget = optimize_design(gamma, cs)
+        assert abs(alpha / design.alpha_b - 1.0) <= 0.10
+        assert abs(delta / budget.delta_total - 1.0) <= 0.05
+
+    def test_dephasing_free_spread(self):
+        # gamma_10 -> 0 leaves the spread term; at suppression 1e-3 and
+        # alpha_b 40 the mean component is deep in the Kerr regime, where
+        # Re W10 ~ 1/n_b, so s = -1 and delta = 1 - exp(-(phi / alpha_b)^2)
+        p = base_params(OptimizationConstraints(suppression=1e-3), 1e-14)
+        delta = gaussian_error(p, 40.0, PhaseTarget(PI))
+        assert delta == pytest.approx(1.0 - math.exp(-(PI / 40.0) ** 2), rel=1e-3)
 
 
 def _raised(call):
@@ -275,9 +309,11 @@ class TestMaxDephasing:
         assert len(windows) == len(alphas)
         assert len(alphas) <= coherent_gate._window.cache_info().maxsize
         assert budget.delta_total <= 0.2 * 1.01
-        # two bracket ends and one search per bisection step; the search at
-        # the final gamma_10 is reused, not run again
-        assert len(searches) == 2 + design_optimizer._BISECT_ITERS == 16
+        # two bracket ends and one search per bisection step inside the
+        # model's +-5% bracket: 7 measured here and at most 8 over targets
+        # 0.05 to 0.3 at both suppressions (16 over the whole lattice), bound
+        # with a margin of 2; the search at the final gamma_10 is reused
+        assert len(searches) <= 10
         assert searches.count(gamma) == 1
         # the windows outlive the call: an identical call builds none
         windows.clear()
@@ -289,10 +325,86 @@ class TestMaxDephasing:
         assert budget == _two_qubit_budget(base_params(cs, gamma), design)
         assert len(windows) == 1
 
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    @pytest.mark.parametrize("target", [0.05, 0.2])
+    def test_seed_leaves_the_result(self, monkeypatch, target, suppression):
+        # with the model failing, both searches start from the unseeded
+        # brackets: the range's centre and the whole lattice
+        cs = OptimizationConstraints(suppression=suppression)
+        seeded = max_dephasing(target, cs)[0]
+        monkeypatch.setattr(design_optimizer, "_model", _no_model)
+        assert design_optimizer._model_gamma(target, cs) is None
+        assert max_dephasing(target, cs)[0] == seeded
+
+    @pytest.mark.parametrize("factor", [1e3, 1e-3])
+    def test_misplaced_seed_reaches_the_same_point(self, monkeypatch, factor):
+        cs = OptimizationConstraints(suppression=1.0)
+        seeded = max_dephasing(0.2, cs)[0]
+        guess = design_optimizer._model_gamma(0.2, cs)
+        monkeypatch.setattr(design_optimizer, "_model_gamma", lambda t, c: guess * factor)
+        assert max_dephasing(0.2, cs)[0] == seeded
+
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    def test_inversion_cost(self, monkeypatch, suppression):
+        # measured: 7 and 8 searches, 369 and 404 delta calls; the plain
+        # bisection made 16 searches and 1,343 and 1,229 calls
+        searches, calls = [], []
+        search, delta = design_optimizer._two_qubit_optimize, design_optimizer._two_qubit_delta
+        monkeypatch.setattr(design_optimizer, "_two_qubit_optimize",
+                            lambda *args: searches.append(args) or search(*args))
+        monkeypatch.setattr(design_optimizer, "_two_qubit_delta",
+                            lambda *args: calls.append(args) or delta(*args))
+        max_dephasing(0.2, OptimizationConstraints(suppression=suppression))
+        assert len(searches) <= 10
+        assert len(calls) <= 600
+
+    @pytest.mark.parametrize("k", [0, 1, 5000, 9155, 2 ** 14 - 1, 2 ** 14])
+    def test_lattice_is_the_plain_bisection(self, k):
+        # every value a plain bisection of [1e-14, 1e-1] visits on its way
+        # to k, bit for bit, and 1e-14 (1e13)^(k / 2^14) to rounding
+        a, b, lo, hi = 0, 2 ** 14, 1e-14, 1e-1
+        while b - a > 1:
+            mid, gamma = (a + b) // 2, math.sqrt(lo * hi)
+            assert design_optimizer._lattice(mid) == gamma
+            a, b, lo, hi = (mid, b, gamma, hi) if k >= mid else (a, mid, lo, gamma)
+        assert design_optimizer._lattice(k) == (lo if k == a else hi)
+        assert design_optimizer._lattice(k) == pytest.approx(
+            1e-14 * 1e13 ** (k / 2 ** 14), rel=1e-13)
+
     def test_not_attainable(self):
         cs = OptimizationConstraints(alpha_b_range=(1.0, 10.0))
         with pytest.raises(NotAttainable):
             max_dephasing(0.001, cs)
+
+    def test_not_attainable_from_a_seed(self, monkeypatch):
+        # a seed far above the floor: the bracket moves down to k = 0
+        monkeypatch.setattr(design_optimizer, "_model_gamma", lambda t, c: 1e-6)
+        with pytest.raises(NotAttainable, match="1e-14"):
+            max_dephasing(0.001, OptimizationConstraints(alpha_b_range=(1.0, 10.0)))
+
+    def test_bracket_top_warns(self, monkeypatch):
+        # every lattice point meets a loose target: the bracket moves up to
+        # the lattice's top, which is returned with a RegimeWarning
+        cs = OptimizationConstraints()
+        search = design_optimizer._two_qubit_optimize(1e-6, cs)
+        monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", lambda g, c: search)
+        with pytest.warns(RegimeWarning, match="bracket top"):
+            gamma, _, budget = max_dephasing(0.45, cs)
+        assert gamma == 1e-1
+        assert budget == search[2]
+
+    def test_postcondition(self, monkeypatch):
+        # a returned design above the target fails loudly, also under -O
+        cs = OptimizationConstraints()
+        certified = design_optimizer._certified
+
+        def missed(*args):
+            design, _ = certified(*args)
+            return design, ErrorBudget(0.1, 0.15, 0.25, math.sqrt(0.75))
+
+        monkeypatch.setattr(design_optimizer, "_certified", missed)
+        with pytest.raises(NoConvergence, match="above its target"):
+            max_dephasing(0.2, cs)
 
     def test_invalid_target(self):
         with pytest.raises(InvalidInput):

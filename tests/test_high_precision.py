@@ -12,7 +12,9 @@ import mpmath as mp
 import pytest
 
 from eitgate import OptimizationConstraints, base_params, design_point, optimal_detuning
-from eitgate.coherent_gate import _poisson_window, _two_qubit_budget
+from eitgate.coherent_gate import (_one_qubit_budget, _poisson_window, _quadrature_budget,
+                                   _two_qubit_budget)
+from eitgate.design_optimizer import _one_qubit_dec_limit
 
 DIGITS = 30
 FIELDS = ("delta_total", "delta_decoherence", "delta_coherent_spread")
@@ -94,3 +96,71 @@ class TestTwoQubitBudget:
         for field in FIELDS:
             assert getattr(budget, field) == pytest.approx(float(ref[field]), rel=0,
                                                            abs=1e-13), field
+
+
+def one_qubit_reference(p, design, cut):
+    """Budget fields of the Poisson double sum over every (n_b, n_c) whose
+    weight on each axis is at least cut, normalized by the weight captured.
+
+    The time is calibrated at the mean component as in design_point.  The
+    response at n_c = 0 is 0, its limit as |Omega_c| -> 0: with gamma_30 = 0
+    the continued fraction is 0/0 there.
+    """
+    def weights(mu):
+        out = []
+        for n in range(10 * int(mu) + 30):
+            w = mp.exp(-mu + n * mp.log(mu) - mp.loggamma(n + 1))
+            if n > mu and w < cut:
+                return out
+            out.append(w)
+        raise AssertionError("weights did not fall below the cut")
+
+    d3 = mp.mpf(p.nu_a) - mp.mpf(p.nu_b)
+    x2 = mp.mpf(p.gamma_20) - 1j * mp.mpf(p.nu_a)
+    x3 = mp.mpf(p.gamma_30) - 1j * d3
+    x4 = mp.mpf(p.gamma_40) - 1j * (d3 + mp.mpf(design.nu_c))
+    ia = 1j * mp.mpf(p.omega_a_tilde) ** 2
+    b_sq, c_sq = mp.mpf(p.omega_b_tilde) ** 2, mp.mpf(p.omega_c_tilde) ** 2
+    mu_b, mu_c = mp.mpf(design.alpha_b) ** 2, mp.mpf(design.alpha_c) ** 2
+    nt = -mp.mpf(design.phi) / mp.re(ia / (x2 + b_sq * mu_b / (x3 + c_sq * mu_c / x4)))
+    gamma_10 = mp.mpf(p.gamma_10)
+    wb, wc = weights(mu_b), weights(mu_c)
+    full, spread, damp = mp.mpc(0), mp.mpc(0), mp.mpf(0)
+    for n_c, pc in enumerate(wc):
+        per_b = b_sq / (x3 + c_sq * n_c / x4) if n_c else None
+        row_full, row_spread, row_damp = mp.mpc(0), mp.mpc(0), mp.mpf(0)
+        for n_b, pb in enumerate(wb):
+            w = ia / (x2 + n_b * per_b) if n_c else mp.mpc(0)
+            turn = pb * mp.expj(mp.re(w) * nt)
+            decay = mp.exp(-(gamma_10 + mp.im(w)) * nt)
+            row_full += turn * decay
+            row_spread += turn
+            row_damp += pb * decay
+        full += pc * row_full
+        spread += pc * row_spread
+        damp += pc * row_damp
+    mass = mp.fsum(wb) * mp.fsum(wc)
+    return {"delta_total": 1 - abs(full / mass) ** 2,
+            "delta_decoherence": 1 - (damp / mass) ** 2,
+            "delta_coherent_spread": 1 - abs(spread / mass) ** 2}
+
+
+def test_one_qubit_quadrature_against_the_double_sum():
+    # alpha_b 6.5 and alpha_c 4.9 keep the sum near 8,000 terms; mode c sits
+    # just above the vacuum guard and the Gauss-Charlier ladder converges
+    alpha_b, alpha_c = 6.5, 4.9
+    cs = OptimizationConstraints(mode="one-qubit", alpha_c_over_alpha_b=alpha_c / alpha_b)
+    p = base_params(cs, 1e-6)
+    nu, _ = _one_qubit_dec_limit(1e-6, cs)
+    design = design_point(p, nu, alpha_b, cs.phi, alpha_c=alpha_c)
+    rule = _quadrature_budget(replace(p, nu_c=nu, n_c=1), design.time_norm,
+                              alpha_b ** 2, alpha_c ** 2)
+    budget = _one_qubit_budget(p, design)
+    assert rule is not None and budget == rule
+    with mp.workdps(DIGITS):
+        ref = one_qubit_reference(p, design, mp.mpf("1e-17"))
+    # measured: 6e-16 at most; the ladder accepts an order that moved no
+    # field by more than EPS_TRUNC from the one before
+    for field in FIELDS:
+        assert getattr(budget, field) == pytest.approx(float(ref[field]), rel=0,
+                                                       abs=1e-12), field
