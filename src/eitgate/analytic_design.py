@@ -2,10 +2,10 @@
 
 Effective decoherence exposure, the detuning that minimizes it, the
 asymptotic pi-gate regime, the Fock-input dephasing bound, and a Gaussian
-model of the coherent-drive two-qubit error with its optimum over the drive
-amplitude.  Everything else here is algebra on SystemParams; the exact
-response W10 is used wherever a rate is needed, never its asymptotic form,
-so the closed forms can be cross-checked against numerical minimization.
+model of the coherent-drive two-qubit error.  Everything here is algebra on
+SystemParams; the exact response W10 is used wherever a rate is needed,
+never its asymptotic form, so the closed forms can be cross-checked against
+numerical minimization.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-
-from scipy.optimize import minimize_scalar
 
 from .core_model import SystemParams, _w10_terms, w10
 from .errors import (DegenerateParams, DivisionByZero, InvalidInput, RegimeWarning,
@@ -157,18 +155,6 @@ def gaussian_error(params: SystemParams, alpha_b: float, target: PhaseTarget) ->
         _w10_terms(mean, omega_b * math.sqrt(1.0 + d), mean.omega_c) for d in (h, -h)))
     s = math.log(up / down) / math.log((1.0 + h) / (1.0 - h))
     return 1.0 - math.exp(-2.0 * tau - (target.phi * s / alpha_b) ** 2)
-
-
-def gaussian_design(params: SystemParams, target: PhaseTarget,
-                    alpha_b_range: tuple[float, float]) -> tuple[float, float]:
-    """(alpha_b, delta) minimizing `gaussian_error` over alpha_b_range.
-
-    Brent's bounded method on ln alpha_b (Brent 1973, ch. 5) to within 1e-2.
-    """
-    result = minimize_scalar(lambda x: gaussian_error(params, math.exp(x), target),
-                             bounds=tuple(map(math.log, alpha_b_range)), method="bounded",
-                             options={"xatol": 1e-2})
-    return math.exp(result.x), result.fun
 
 
 def asymptotic_design(params: SystemParams, target: PhaseTarget) -> tuple[float, float]:

@@ -29,7 +29,6 @@ from .errors import InvalidInput, NotAttainable
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
-GAUSS_MIN_MEAN_B = 32.0    # mode-b mean photon number below which no ladder converged at phi = pi
 WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs read 101
 MIN_ALPHA_MAX = 400.0      # largest alpha_b min_alpha_b tries
 MIN_ALPHA_TOL = 0.02       # width of min_alpha_b's final bracket
@@ -318,15 +317,13 @@ def _one_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
     The interaction time is the design's, calibrated by design_point.  The
     summand is smooth across each mode's Poisson window, so a converged
     Gauss-Charlier rule replaces the Fock double sum.  The product of the
-    exact windows is summed instead when the rule does not converge, when
-    the vacuum, whose response is degenerate, carries more Poisson weight
-    than a window may leave out on one side, and below GAUSS_MIN_MEAN_B
-    photons in mode b, where the phase n_b^-1 steepens over the window and
-    the ladder was never seen to converge at phi = pi.
+    exact windows is summed instead when the rule does not converge, and
+    when the vacuum, whose response is degenerate, carries more Poisson
+    weight than a window may leave out on one side.
     """
     mu_b, mu_c = design.alpha_b ** 2, design.alpha_c ** 2
     p = replace(params, nu_c=design.nu_c, n_c=1)
-    if mu_b >= GAUSS_MIN_MEAN_B and math.exp(-min(mu_b, mu_c)) <= EPS_TRUNC / 2.0:
+    if math.exp(-min(mu_b, mu_c)) <= EPS_TRUNC / 2.0:
         budget = _quadrature_budget(p, design.time_norm, mu_b, mu_c)
         if budget is not None:
             return budget

@@ -4,7 +4,7 @@ Finds the (nu_c, alpha_b) pair minimizing the total gate error at a given
 ground-state dephasing, inverts that map to the largest tolerable dephasing
 for a target error, and tabulates trade-off curves over a grid.  All searches
 are deterministic: Brent's bounded method on ln alpha_b, bracketed around the
-optimum of the closed-form Gaussian model (`analytic_design.gaussian_design`),
+optimum of the closed-form Gaussian model (`analytic_design.gaussian_error`),
 with Brent on ln nu_c, seeded at the closed-form optimum, nested inside.  The
 inversion bisects a fixed lattice of gamma_10 from a bracket around the
 model's own inverse, which it validates and widens before trusting.
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq, minimize_scalar
 
-from .analytic_design import PhaseTarget, gaussian_design, optimal_detuning, tau_eff
+from .analytic_design import PhaseTarget, gaussian_error, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
                             _two_qubit_budget, _two_qubit_delta, _unchecked,
                             design_point, min_alpha_b)
@@ -151,15 +151,19 @@ def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
 
 
 def _model(gamma_10: float, constraints: OptimizationConstraints):
-    """(alpha_b, delta) of the Gaussian model's optimum at gamma_10.
+    """(alpha_b, delta) minimizing the Gaussian model over alpha_b_range.
 
-    Only a seed: it raises whatever the closed forms raise, and its values
-    may be non-finite; every caller validates what it takes from it.
+    Brent's bounded method on ln alpha_b to within 1e-2.  Only a seed: it
+    raises whatever the closed forms raise, and its values may be
+    non-finite; every caller validates what it takes from it.
     """
+    params, target = base_params(constraints, gamma_10), PhaseTarget(constraints.phi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        return gaussian_design(base_params(constraints, gamma_10),
-                               PhaseTarget(constraints.phi), constraints.alpha_b_range)
+        result = minimize_scalar(lambda x: gaussian_error(params, math.exp(x), target),
+                                 bounds=tuple(map(math.log, constraints.alpha_b_range)),
+                                 method="bounded", options={"xatol": 1e-2})
+    return math.exp(result.x), result.fun
 
 
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
@@ -298,20 +302,9 @@ def _model_gamma(delta_target: float, constraints: OptimizationConstraints):
 
 
 def _lattice(k: int) -> float:
-    """gamma_k = 1e-14 exp(k _GAMMA_STEP), computed as a plain bisection of
-    _GAMMA_SPAN reaches it.
-
-    Each value is the geometric mean of the values at the two ends of its
-    dyadic bracket, so it equals that bisection's bit for bit.
-    """
-    a, b = 0, 2 ** _BISECT_ITERS
-    lo, hi = _GAMMA_SPAN
-    while k != a:
-        if k == b:
-            return hi
-        mid, gamma = (a + b) // 2, math.sqrt(lo * hi)
-        a, b, lo, hi = (a, mid, lo, gamma) if k < mid else (mid, b, gamma, hi)
-    return lo
+    """gamma_k = 1e-14 exp(k _GAMMA_STEP), written so that both ends of _GAMMA_SPAN are exact."""
+    t = k / 2 ** _BISECT_ITERS
+    return _GAMMA_SPAN[0] ** (1.0 - t) * _GAMMA_SPAN[1] ** t
 
 
 def max_dephasing(delta_target: float, constraints: OptimizationConstraints

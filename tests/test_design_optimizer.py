@@ -358,19 +358,6 @@ class TestMaxDephasing:
         assert len(searches) <= 10
         assert len(calls) <= 600
 
-    @pytest.mark.parametrize("k", [0, 1, 5000, 9155, 2 ** 14 - 1, 2 ** 14])
-    def test_lattice_is_the_plain_bisection(self, k):
-        # every value a plain bisection of [1e-14, 1e-1] visits on its way
-        # to k, bit for bit, and 1e-14 (1e13)^(k / 2^14) to rounding
-        a, b, lo, hi = 0, 2 ** 14, 1e-14, 1e-1
-        while b - a > 1:
-            mid, gamma = (a + b) // 2, math.sqrt(lo * hi)
-            assert design_optimizer._lattice(mid) == gamma
-            a, b, lo, hi = (mid, b, gamma, hi) if k >= mid else (a, mid, lo, gamma)
-        assert design_optimizer._lattice(k) == (lo if k == a else hi)
-        assert design_optimizer._lattice(k) == pytest.approx(
-            1e-14 * 1e13 ** (k / 2 ** 14), rel=1e-13)
-
     def test_not_attainable(self):
         cs = OptimizationConstraints(alpha_b_range=(1.0, 10.0))
         with pytest.raises(NotAttainable):
