@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core_model import SystemParams, _w10_terms, w10
+from .core_model import SystemParams, _unchecked, _w10_terms, w10
 from .errors import (DegenerateParams, DivisionByZero, InvalidInput, RegimeWarning,
                      ZeroPhaseRate)
 
@@ -147,8 +147,10 @@ def gaussian_error(params: SystemParams, alpha_b: float, target: PhaseTarget) ->
         delta = 1 - exp(-2 tau - (phi s / alpha_b)^2).
     """
     omega_b = params.omega_b_tilde * alpha_b
-    mean = replace(params, omega_b_tilde=omega_b)
-    mean = replace(mean, nu_c=optimal_detuning(mean))
+    if not (math.isfinite(omega_b) and omega_b >= 0):
+        raise InvalidInput(f"drive amplitude must be finite and >= 0, got {omega_b}")
+    mean = _unchecked(params, omega_b_tilde=omega_b)
+    mean = _unchecked(mean, nu_c=optimal_detuning(mean))
     tau = tau_eff(mean, target)
     h = 1e-4
     up, down = ((num / den).real for num, den, _ in (

@@ -250,7 +250,7 @@ def cmd_design(config: RunConfig) -> dict:
         "alpha_b": design.alpha_b,
         "phi": design.phi,
         "time_norm": design.time_norm,
-        "suppression": design.suppression,
+        "suppression": cs.suppression,
         "mode": design.mode,
     }
 

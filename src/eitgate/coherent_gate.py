@@ -24,14 +24,12 @@ from scipy import special
 from scipy.linalg import eigh_tridiagonal
 
 from .analytic_design import PhaseTarget, gate_time
-from .core_model import SystemParams, _w10_terms
-from .errors import InvalidInput, NotAttainable
+from .core_model import SystemParams, _unchecked, _w10_terms
+from .errors import InvalidInput
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
 WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs read 101
-MIN_ALPHA_MAX = 400.0      # largest alpha_b min_alpha_b tries
-MIN_ALPHA_TOL = 0.02       # width of min_alpha_b's final bracket
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"
@@ -49,7 +47,6 @@ class GateDesign:
     alpha_b: float
     phi: float
     time_norm: float          # |Omega_a| N t
-    suppression: float        # gamma_40 / gamma_20 at this point
     alpha_c: float | None = None
 
     def __post_init__(self):
@@ -59,8 +56,6 @@ class GateDesign:
         if self.phi <= 0:
             raise InvalidInput(f"phi must be > 0, got {self.phi}")
         _check_time(self.time_norm)
-        if self.suppression <= 0:
-            raise InvalidInput(f"suppression must be > 0, got {self.suppression}")
         _check_alpha_c(self.alpha_c)
 
     @property
@@ -235,17 +230,6 @@ def _two_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
                      np.array([params.n_c]), np.array([1.0]))
 
 
-def _unchecked(params: SystemParams, **changes) -> SystemParams:
-    """replace(params, **changes) without running SystemParams' checks again.
-
-    Only for values that are already checked: a design search validates its
-    system once, then moves nu_c and the drive amplitude point by point.
-    """
-    view = object.__new__(SystemParams)
-    view.__dict__.update(vars(params), **changes)
-    return view
-
-
 def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: float) -> float:
     """delta_total of _two_qubit_budget(params, design_point(params, nu_c,
     alpha_b, phi)), bit for bit, without the design or the budget.
@@ -344,53 +328,5 @@ def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
     mean = replace(params, nu_c=nu_c, omega_b_tilde=params.omega_b_tilde * alpha_b)
     if alpha_c is not None:
         mean = replace(mean, omega_c_tilde=params.omega_c_tilde * alpha_c, n_c=1)
-    tn = gate_time(mean, PhaseTarget(phi))
-    if params.gamma_20 > 0:
-        sup = params.gamma_40 / params.gamma_20
-    elif params.gamma_40 == 0:
-        sup = 1.0
-    else:
-        raise InvalidInput("gamma_40 > 0 with gamma_20 = 0 has no suppression ratio")
-    return GateDesign(nu_c=nu_c, alpha_b=alpha_b, phi=phi, time_norm=tn,
-                      suppression=sup, alpha_c=alpha_c)
-
-
-def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: float,
-                alpha_c_ratio: float) -> tuple[GateDesign, ErrorBudget]:
-    """(design, budget) at the smallest drive amplitude whose spread-only
-    one-qubit error <= target.
-
-    The detuning is held at nu_c; alpha_c tracks alpha_b at the given ratio.
-    The bracket is seeded from the Gaussian estimate spread ~ phi^2
-    (1/alpha_b^2 + 1/alpha_c^2) and grown geometrically, so large amplitudes
-    are only evaluated if needed.  The returned pair is the one the search
-    evaluated at its result.
-    """
-    if not 0.0 < delta_target < 1.0:
-        raise InvalidInput(f"delta_target must be in (0, 1), got {delta_target}")
-
-    evaluated = {}
-
-    def spread_at(alpha: float) -> float:
-        design = design_point(params, nu_c, alpha, phi, alpha_c=alpha * alpha_c_ratio)
-        evaluated[alpha] = design, _one_qubit_budget(params, design)
-        return evaluated[alpha][1].delta_coherent_spread
-
-    hi = min(MIN_ALPHA_MAX,
-             max(1.0, phi * math.sqrt((1.0 + alpha_c_ratio ** -2) / delta_target)))
-    while spread_at(hi) > delta_target:
-        hi *= 1.5
-        if hi > MIN_ALPHA_MAX:
-            raise NotAttainable(
-                f"spread error still above {delta_target} at alpha_b = {MIN_ALPHA_MAX}")
-    lo = hi / 1.5
-    while spread_at(lo) <= delta_target and lo > 0.5:
-        hi = lo
-        lo /= 1.5
-    while hi - lo > MIN_ALPHA_TOL:
-        mid = 0.5 * (lo + hi)
-        if spread_at(mid) <= delta_target:
-            hi = mid
-        else:
-            lo = mid
-    return evaluated[hi]
+    return GateDesign(nu_c=nu_c, alpha_b=alpha_b, phi=phi,
+                      time_norm=gate_time(mean, PhaseTarget(phi)), alpha_c=alpha_c)

@@ -14,7 +14,7 @@ import eitgate
 from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, InvalidInput,
                      NotAttainable, SystemParams, design_point, min_alpha_b,
                      optimal_detuning, w10)
-from eitgate import coherent_gate
+from eitgate import coherent_gate, design_optimizer
 from eitgate.coherent_gate import (EPS_TRUNC, _fock_sum, _gauss_charlier, _one_qubit_budget,
                                    _poisson_window, _quadrature_budget, _response_grid,
                                    _two_qubit_budget)
@@ -210,16 +210,14 @@ class TestPerComponentResponse:
 class TestGateDesign:
     def test_validation(self):
         with pytest.raises(InvalidInput):
-            GateDesign(nu_c=1.0, alpha_b=-1.0, phi=PI, time_norm=1.0, suppression=1.0)
+            GateDesign(nu_c=1.0, alpha_b=-1.0, phi=PI, time_norm=1.0)
         with pytest.raises(InvalidInput):
-            GateDesign(nu_c=1.0, alpha_b=1.0, phi=PI, time_norm=1.0,
-                       suppression=1.0, alpha_c=0.0)
+            GateDesign(nu_c=1.0, alpha_b=1.0, phi=PI, time_norm=1.0, alpha_c=0.0)
         with pytest.raises(InvalidInput):
             design_point(params(), 125.0, 10.0, PI, alpha_c=-1.0)
 
     def test_non_finite_fields_rejected(self):
-        fields = dict(nu_c=1.0, alpha_b=1.0, phi=PI, time_norm=1.0, suppression=1.0,
-                      alpha_c=10.0)
+        fields = dict(nu_c=1.0, alpha_b=1.0, phi=PI, time_norm=1.0, alpha_c=10.0)
         for name in fields:
             for bad in (math.nan, math.inf):
                 with pytest.raises(InvalidInput, match=name):
@@ -451,9 +449,25 @@ class TestMinAlphaB:
 
     def test_not_attainable(self, monkeypatch):
         p = params()
-        monkeypatch.setattr(coherent_gate, "MIN_ALPHA_MAX", 20.0)
-        with pytest.raises(NotAttainable):
+        monkeypatch.setattr(design_optimizer, "_MIN_ALPHA_SPAN", (0.5, 20.0))
+        with pytest.raises(NotAttainable, match="20.0"):
             min_alpha_b(p, PI, 1e-4, _nu_for(p, 1.0), alpha_c_ratio=10.0)
+
+    @pytest.mark.parametrize("ratio", [1.0, 10.0])
+    @pytest.mark.parametrize("phi", [PI, 1.2])
+    def test_smallest_passing_lattice_point(self, phi, ratio):
+        # the result is a lattice point that meets the target, and the
+        # lattice point below it does not
+        p, target, span = params(), 0.05, design_optimizer._MIN_ALPHA_SPAN
+        nu = _nu_for(p, 1.0, ratio)
+        design, budget = min_alpha_b(p, phi, target, nu, alpha_c_ratio=ratio)
+        step = math.log(span[1] / span[0]) / design_optimizer._STEPS
+        j = round(math.log(design.alpha_b / span[0]) / step)
+        assert design.alpha_b == design_optimizer._lattice(j, span)
+        assert budget.delta_coherent_spread <= target
+        alpha = design_optimizer._lattice(j - 1, span)
+        below = _one_qubit_budget(p, design_point(p, nu, alpha, phi, alpha_c=ratio * alpha))
+        assert below.delta_coherent_spread > target
 
 
 def _nu_for(p, alpha, ratio=10.0):

@@ -113,6 +113,18 @@ class TestOptimizeDesign:
         optimize_design(1e-6, OptimizationConstraints())
         assert len(calls) <= 70
 
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-4])
+    def test_one_qubit_search_cost(self, monkeypatch, gamma):
+        # min_alpha_b from its +-1% bracket: 8 budgets measured at both
+        # points, bound with a margin of 2; its grow, shrink and bisect
+        # loops took 13 and 11
+        calls = []
+        budget = design_optimizer._one_qubit_budget
+        monkeypatch.setattr(design_optimizer, "_one_qubit_budget",
+                            lambda *args: calls.append(args) or budget(*args))
+        optimize_design(gamma, OptimizationConstraints(mode="one-qubit"))
+        assert len(calls) <= 10
+
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_no_worse_than_the_tenth_grid(self, suppression):
         # the continuous search beats every 0.1-grid alpha_b within +/-1 of
@@ -171,6 +183,40 @@ class TestGaussianModel:
         p = base_params(OptimizationConstraints(suppression=1e-3), 1e-14)
         delta = gaussian_error(p, 40.0, PhaseTarget(PI))
         assert delta == pytest.approx(1.0 - math.exp(-(PI / 40.0) ** 2), rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.inf, math.nan])
+    def test_bad_amplitude_rejected(self, alpha):
+        p = base_params(OptimizationConstraints(), 1e-6)
+        with pytest.raises(InvalidInput, match="drive amplitude"):
+            gaussian_error(p, alpha, PhaseTarget(PI))
+
+
+class TestLatticeSearch:
+    """_last_true, the bracket-and-bisect behind both inversions, against a scan."""
+
+    STEPS = design_optimizer._STEPS
+    INDEX = st.integers(0, STEPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(last=st.one_of(st.sampled_from([-1, 0, STEPS - 1, STEPS]),
+                          st.integers(-1, STEPS)),
+           ends=st.one_of(st.tuples(INDEX, INDEX), INDEX.map(lambda k: (k, k))))
+    def test_matches_a_scan(self, last, ends):
+        # any threshold, from any bracket: misplaced on either side, the
+        # whole lattice, or a single point
+        lo, hi = sorted(ends)
+        seen = []
+        found = design_optimizer._last_true(lambda k: seen.append(k) or k <= last, lo, hi)
+        assert found == max((k for k in range(self.STEPS + 1) if k <= last), default=-1)
+        assert len(seen) == len(set(seen))
+        assert all(0 <= k <= self.STEPS for k in seen)
+        # outward steps double and bisection halves: 28 measured at worst
+        assert len(seen) <= 2 * math.log2(self.STEPS) + 2
+
+    def test_lattice_ends_are_exact(self):
+        for span in (design_optimizer._GAMMA_SPAN, design_optimizer._MIN_ALPHA_SPAN):
+            assert design_optimizer._lattice(0, span) == span[0]
+            assert design_optimizer._lattice(self.STEPS, span) == span[1]
 
 
 def _raised(call):

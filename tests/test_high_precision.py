@@ -9,9 +9,12 @@ exp(-mu) mu^n / n!, so it shares no code with the path under test.
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from eitgate import OptimizationConstraints, base_params, design_point, optimal_detuning
+from eitgate import (DegenerateDenominator, OptimizationConstraints, SystemParams,
+                     base_params, design_point, optimal_detuning, w10)
+from eitgate.core_model import EPS_DEN, _w10_terms
 from eitgate.coherent_gate import (_one_qubit_budget, _poisson_window, _quadrature_budget,
                                    _two_qubit_budget)
 from eitgate.design_optimizer import _one_qubit_dec_limit
@@ -164,3 +167,51 @@ def test_one_qubit_quadrature_against_the_double_sum():
     for field in FIELDS:
         assert getattr(budget, field) == pytest.approx(float(ref[field]), rel=0,
                                                        abs=1e-12), field
+
+
+# A lossless chain (all widths 0) whose denominator
+# nu_a (d3 d4 - |Omega_c|^2) - d4 |Omega_b|^2 vanishes at one real |Omega_b|.
+LOSSLESS = dict(omega_a_tilde=1.0, omega_c_tilde=1.0, n_a=1, n_c=1, nu_a=1.0, nu_b=0.3,
+                nu_c=2.0, gamma_10=0.0, gamma_20=0.0, gamma_30=0.0, gamma_40=0.0)
+
+
+def degeneracy(p):
+    """|denominator| / scale of W10, the ratio that EPS_DEN bounds, in mpmath."""
+    d3 = mp.mpf(p.nu_a) - mp.mpf(p.nu_b)
+    d4 = d3 + mp.mpf(p.nu_c)
+    a2_bracket = mp.mpf(p.nu_a) * (d3 * d4 - mp.mpf(p.omega_c_tilde) ** 2)
+    b_term = d4 * mp.mpf(p.omega_b_tilde) ** 2
+    return abs(a2_bracket - b_term) / (abs(a2_bracket) + abs(b_term))
+
+
+def test_w10_near_the_degeneracy_threshold():
+    # drive amplitudes whose exact ratio lies on either side of EPS_DEN
+    # (1e-12), from 1e-14 to 1e-6, approached from above and below the root
+    with mp.workdps(DIGITS):
+        p = SystemParams(omega_b_tilde=1.0, **LOSSLESS)
+        d3 = mp.mpf(p.nu_a) - mp.mpf(p.nu_b)
+        d4 = d3 + mp.mpf(p.nu_c)
+        root = mp.sqrt(mp.mpf(p.nu_a) * (d3 * d4 - 1) / d4)
+        points = [SystemParams(omega_b_tilde=float(root * mp.sqrt(1 + 2 * sign * r)),
+                               **LOSSLESS)
+                  for r in (1e-14, 0.5 * EPS_DEN, 0.99 * EPS_DEN, 1.01 * EPS_DEN,
+                            2 * EPS_DEN, 1e-10, 1e-8, 1e-6) for sign in (1, -1)]
+        ratios = [degeneracy(p) for p in points]
+        for p, ratio in zip(points, ratios):
+            # the double-precision ratio is off by a few eps, far inside 0.1%
+            assert abs(ratio / EPS_DEN - 1) > 1e-3
+            if ratio < EPS_DEN:
+                with pytest.raises(DegenerateDenominator):
+                    w10(p)
+                continue
+            ref = w10_mp(p, p.nu_c, mp.mpf(p.omega_b_tilde) ** 2)
+            # the denominator's rounding, a few eps of its scale, over its size;
+            # measured: at most 0.7 eps / ratio
+            err = abs(mp.mpc(w10(p)) - ref) / abs(ref)
+            assert err <= 4 * np.finfo(float).eps / ratio, float(ratio)
+    degenerate = [ratio < EPS_DEN for ratio in ratios]
+    assert degenerate.count(True) == 6
+    # the array path flags the same points as the scalar one
+    omega_b = np.array([p.omega_b_tilde for p in points])
+    _, _, flags = _w10_terms(points[0], omega_b, points[0].omega_c)
+    assert list(flags) == degenerate
