@@ -47,7 +47,7 @@ class PhaseTarget:
     def __post_init__(self):
         if not 0 < self.phi <= 2 * math.pi:
             warnings.warn(f"target phase {self.phi} rad outside (0, 2*pi]",
-                          RegimeWarning, stacklevel=2)
+                          RegimeWarning, stacklevel=3)
 
 
 def aux_factors(params: SystemParams) -> AuxiliaryFactors:

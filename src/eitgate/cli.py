@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration errors, 3 math-domain errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -48,10 +49,19 @@ class EvalOptions:
 
 @dataclass(frozen=True)
 class DesignOptions:
-    """Exactly one of the two is set; a `design` block that names one leaves the other null."""
+    """At most one of the two is set; a `design` block that names one leaves the other null."""
 
     delta_target: float | None = None
     gamma_10: float | None = None
+
+    def __post_init__(self):
+        if self.delta_target is not None and self.gamma_10 is not None:
+            raise InvalidInput(f"set 'delta_target' or 'gamma_10', not both; got "
+                               f"{self.delta_target} and {self.gamma_10}")
+        if self.delta_target is not None and not 0.0 < self.delta_target < 0.5:
+            raise InvalidInput(f"'delta_target' must be in (0, 0.5), got {self.delta_target}")
+        if self.gamma_10 is not None and self.gamma_10 <= 0:
+            raise InvalidInput(f"'gamma_10' must be > 0, got {self.gamma_10}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +186,6 @@ def parse_config(data: dict) -> RunConfig:
     return _parse_block(RunConfig, data, "", {})
 
 
-def dump_config(config: RunConfig) -> dict:
-    """Full configuration document; parse(dump(c)) == c."""
-    return dataclasses.asdict(config)
-
-
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -228,17 +233,12 @@ def cmd_design(config: RunConfig) -> dict:
     """Optimize at fixed dephasing, or invert for a target error."""
     opts = config.design
     cs = config.constraints
-    if (opts.delta_target is None) == (opts.gamma_10 is None):
-        raise ConfigError("design needs exactly one of 'delta_target' or 'gamma_10'")
+    if opts.delta_target is None and opts.gamma_10 is None:
+        raise ConfigError("design needs one of 'delta_target' or 'gamma_10'")
     if opts.gamma_10 is not None:
-        if opts.gamma_10 <= 0:
-            raise ConfigError(f"design 'gamma_10' must be > 0, got {opts.gamma_10}")
         gamma = opts.gamma_10
         design, budget = optimize_design(gamma, cs)
     else:
-        if not 0.0 < opts.delta_target < 0.5:
-            raise ConfigError(f"design 'delta_target' must be in (0, 0.5), "
-                              f"got {opts.delta_target}")
         gamma, design, budget = max_dephasing(opts.delta_target, cs)
     return {
         "gamma_10_over_omega_a": gamma,
@@ -283,14 +283,7 @@ def cmd_check_oracle(config: RunConfig) -> tuple[list[dict], bool]:
             except GateModelError:
                 t_final = 200.0 / p.gamma_20 if p.gamma_20 > 0 else 200.0
         rep = verify_qss(p, t_final)
-        entry = {
-            "omega_a_over_gamma_20": s,
-            "t_final": t_final,
-            "max_rel_deviation": rep.max_rel_deviation,
-            "final_phase_error": rep.final_phase_error,
-            "final_magnitude_ratio": rep.final_magnitude_ratio,
-            "regime_flag": rep.regime_flag,
-        }
+        entry = {"omega_a_over_gamma_20": s, "t_final": t_final, **dataclasses.asdict(rep)}
         if s == ORACLE_HARD_POINT and rep.max_rel_deviation >= ORACLE_HARD_BOUND:
             entry["bound_violation"] = True
             ok = False
@@ -333,12 +326,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _open_out(config: RunConfig):
-    if config.out is None:
-        return sys.stdout, False
-    return open(config.out, "w", encoding="utf-8"), True
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eitgate",
@@ -350,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv"], help="output format")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--verbose", action="store_true", default=None)
-        sp.add_argument("--raw", action="store_true", default=None,
-                        help="report rates in raw units instead of |Omega~_a|")
+        return sp
 
-    common(sub.add_parser("eval", help="closed-form quantities at a parameter point"))
+    evaluate = common(sub.add_parser("eval", help="closed-form quantities at a parameter point"))
+    evaluate.add_argument("--raw", action="store_true", default=None,
+                          help="report rates in raw units instead of |Omega~_a|")
 
-    design = sub.add_parser("design", help="optimize the design or invert it")
-    common(design)
+    design = common(sub.add_parser("design", help="optimize the design or invert it"))
     design.add_argument("--delta", type=float, help="target error 1 - F^2")
     design.add_argument("--gamma10", type=float, help="dephasing gamma_10/|Omega~_a|")
     design.add_argument("--suppression", type=float, help="gamma_40/gamma_20 ratio")
@@ -367,44 +354,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
+    """The configuration file (or the defaults) with each given flag applied.
+
+    A flag builds the block a config file would build, so the block's own
+    checks judge it: `--delta` and `--gamma10` make one `DesignOptions`, and
+    `--suppression` a new `constraints` block.
+    """
     config = load_config(args.config) if args.config else parse_config({})
-    updates = {}
-    if args.format:
-        updates["format"] = args.format
-    if args.out:
-        updates["out"] = args.out
-    if args.verbose is not None:
-        updates["verbose"] = args.verbose
-    if getattr(args, "raw", None) is not None:
-        updates["raw"] = args.raw
-    if updates:
-        config = replace(config, **updates)
-    return config
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    for flag in ("delta", "gamma10", "suppression"):
+        if flag in flags and not math.isfinite(flags[flag]):
+            raise ConfigError(f"--{flag} must be finite, got {flags[flag]}")
+    updates = {k: flags[k] for k in ("format", "out", "verbose", "raw") if k in flags}
+    try:
+        if "delta" in flags or "gamma10" in flags:
+            updates["design"] = DesignOptions(flags.get("delta"), flags.get("gamma10"))
+        if "suppression" in flags:
+            updates["constraints"] = replace(config.constraints,
+                                             suppression=flags["suppression"])
+        return replace(config, **updates)
+    except InvalidInput as exc:
+        raise ConfigError(f"invalid flags: {exc}") from exc
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
-        if args.command == "design":
-            for flag in ("delta", "gamma10", "suppression"):
-                value = getattr(args, flag)
-                if value is not None and not math.isfinite(value):
-                    raise ConfigError(f"--{flag} must be finite, got {value}")
-            if args.delta is not None:
-                config = replace(config, design=DesignOptions(delta_target=args.delta))
-            if args.gamma10 is not None:
-                config = replace(config, design=DesignOptions(gamma_10=args.gamma10))
-            if args.suppression is not None:
-                if args.suppression <= 0:
-                    raise ConfigError(f"--suppression must be > 0, got {args.suppression}")
-                config = replace(config, constraints=replace(
-                    config.constraints, suppression=args.suppression))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         ok = True
         if args.command == "eval":
             result = cmd_eval(config)
@@ -415,12 +391,9 @@ def main(argv=None) -> int:
             result = [dataclasses.asdict(row) for row in rows]
         else:
             result, ok = cmd_check_oracle(config)
-        fh, close = _open_out(config)
-        try:
+        with (contextlib.nullcontext(sys.stdout) if config.out is None
+              else open(config.out, "w", encoding="utf-8")) as fh:
             _write(result, config.format, fh)
-        finally:
-            if close:
-                fh.close()
         if args.command == "sweep":
             print(f"rows={summary['rows']} failures={summary['failures']}",
                   file=sys.stderr if config.out is None else sys.stdout)

@@ -250,7 +250,9 @@ def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: flo
     time_norm = gate_time(mean, PhaseTarget(phi))
     _check_time(time_norm)
     _, _, sqrt_nb, weights, wsum = _window(alpha_b)
-    m, _, _ = _overlap(_unchecked(params, nu_c=nu_c), time_norm / params.omega_a,
+    # _overlap takes the amplitudes as arguments; of mean it reads only the
+    # detunings, the widths and omega_a, which are params' own
+    m, _, _ = _overlap(mean, time_norm / params.omega_a,
                        params.omega_b_tilde * sqrt_nb,
                        params.omega_c_tilde * np.sqrt(np.array([params.n_c]))[None, :],
                        weights)

@@ -59,7 +59,7 @@ class SystemParams:
             warnings.warn(
                 "gamma_10 or gamma_30 exceeds gamma_20; the metastability "
                 "assumption behind the pure-dephasing model is doubtful here",
-                RegimeWarning, stacklevel=2)
+                RegimeWarning, stacklevel=3)
 
     @property
     def omega_a(self) -> float:

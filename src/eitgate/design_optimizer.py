@@ -282,10 +282,8 @@ def _one_qubit_design(gamma_10: float, constraints: OptimizationConstraints):
     nu, dec_floor = _one_qubit_dec_limit(gamma_10, constraints)
     if not 0.0 < dec_floor < 1.0:
         raise NoConvergence(f"one-qubit decoherence floor {dec_floor} out of range")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return min_alpha_b(params, constraints.phi, dec_floor, nu,
-                           alpha_c_ratio=constraints.alpha_c_over_alpha_b)
+    return min_alpha_b(params, constraints.phi, dec_floor, nu,
+                       alpha_c_ratio=constraints.alpha_c_over_alpha_b)
 
 
 def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: float,

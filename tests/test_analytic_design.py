@@ -141,8 +141,9 @@ class TestTauEffAtOptimum:
         assert tau_eff_at_optimum(p, PhaseTarget(PI)) == pytest.approx(expected, rel=1e-5)
 
     def test_zero_phase(self):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             target = PhaseTarget(0.0)
+        assert record[0].filename == __file__       # the caller, not the generated __init__
         assert tau_eff_at_optimum(params(), target) == 0.0
 
     def test_consistency_with_tau_eff(self):
@@ -248,8 +249,9 @@ class TestDecoherenceError:
 
 class TestGateTime:
     def test_zero_phase(self):
-        with pytest.warns(RegimeWarning):
+        with pytest.warns(RegimeWarning) as record:
             target = PhaseTarget(0.0)
+        assert record[0].filename == __file__       # the caller, not the generated __init__
         assert gate_time(params(), target) == 0.0
 
     def test_kerr_regime_value(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from eitgate import (OptimizationConstraints, PhaseTarget, SweepSpec, asymptotic
                      fock_dephasing_bound, gate_time, kerr_approximation,
                      optimal_detuning, optimize_design, sweep, tau_eff, verify_qss, w10)
 from eitgate.cli import (ConfigError, cmd_check_oracle, cmd_design,
-                         cmd_eval, cmd_sweep, dump_config, load_config, main,
+                         cmd_eval, cmd_sweep, load_config, main,
                          parse_config)
 
 PI = math.pi
@@ -63,7 +64,6 @@ _CONSTRAINTS = st.fixed_dictionaries({}, optional={
     "alpha_b_range": _ordered_pair(0.0),
     "mode": st.sampled_from(["two-qubit", "one-qubit"]),
 })
-_OPTIONAL_NUMBER = st.one_of(st.none(), _NUMBER)
 
 
 class TestConfigParsing:
@@ -83,9 +83,9 @@ class TestConfigParsing:
             "verbose": True,
         }
         first = parse_config(doc)
-        second = parse_config(dump_config(first))
+        second = parse_config(dataclasses.asdict(first))
         assert first == second
-        assert dump_config(first) == dump_config(second)
+        assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     @pytest.mark.filterwarnings("ignore::eitgate.errors.RegimeWarning")
     @settings(max_examples=200, deadline=None)
@@ -101,9 +101,11 @@ class TestConfigParsing:
             "phi": st.floats(1e-6, 2 * PI), "delta": _POSITIVE,
             "n_b": st.integers(1, 10 ** 6), "kerr": st.booleans(),
         }),
-        "design": st.fixed_dictionaries({}, optional={
-            "delta_target": _OPTIONAL_NUMBER, "gamma_10": _OPTIONAL_NUMBER,
-        }),
+        "design": st.one_of(
+            st.fixed_dictionaries({}, optional={"delta_target": st.one_of(
+                st.none(), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))}),
+            st.fixed_dictionaries({}, optional={"gamma_10": st.one_of(st.none(), _POSITIVE)}),
+        ),
         "check_oracle": st.fixed_dictionaries({}, optional={
             "t_final": st.one_of(st.none(), _POSITIVE),
             "omega_a_scan": st.lists(_RATE, min_size=1, max_size=4),
@@ -116,7 +118,7 @@ class TestConfigParsing:
     def test_round_trip_property(self, doc):
         # every key may be present or absent, at the top and in each block
         config = parse_config(doc)
-        assert parse_config(dump_config(config)) == config
+        assert parse_config(dataclasses.asdict(config)) == config
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="system.nu_z"):
@@ -324,6 +326,20 @@ class TestMainEntry:
         assert main(["design", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_both_design_flags_exit_2(self, capsys):
+        # the flags build one design block, which holds at most one key
+        assert main(["design", "--delta", "0.2", "--gamma10", "1e-6"]) == 2
+        err = capsys.readouterr().err
+        assert "delta_target" in err and "gamma_10" in err
+
+    @pytest.mark.parametrize("command", ["design", "sweep", "check-oracle"])
+    def test_raw_flag_on_eval_only(self, capsys, command):
+        # only eval reports rates that --raw could rescale
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--raw"])
+        assert exit_info.value.code == 2
+        assert "--raw" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["design", "--gamma10", "1e-6"],
                                          ["design", "--delta", "0.2"], ["sweep"]])
     def test_zero_alpha_b_floor_exits_2(self, tmp_path, capsys, command):
@@ -371,8 +387,14 @@ class TestMainEntry:
         ("eval", {"eval": {"phi": 0.0}}),
         ("check-oracle", {"check_oracle": {"omega_a_scan": [-1]}}),
         ("check-oracle", {"check_oracle": {"t_final": -5}}),
+        # a design block is checked whichever command runs
+        ("eval", {"design": {"delta_target": 0.7}}),
+        ("sweep", {"design": {"delta_target": 0.7}}),
+        ("check-oracle", {"design": {"delta_target": 0.7}}),
     ], ids=["eval.n_b=0", "eval.n_b=-3", "eval.delta=0", "eval.phi=0",
-            "check_oracle.omega_a_scan=-1", "check_oracle.t_final=-5"])
+            "check_oracle.omega_a_scan=-1", "check_oracle.t_final=-5",
+            "eval+design.delta_target=0.7", "sweep+design.delta_target=0.7",
+            "check-oracle+design.delta_target=0.7"])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))

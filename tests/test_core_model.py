@@ -167,3 +167,8 @@ class TestValidation:
     def test_metastability_warning(self):
         with pytest.warns(RegimeWarning):
             params(gamma_30=5.0, gamma_20=1.0)
+        # the warning points at the line that built the parameters, not into
+        # the dataclass-generated __init__
+        with pytest.warns(RegimeWarning) as record:
+            SystemParams(gamma_10=2.0)
+        assert record[0].filename == __file__

@@ -3,21 +3,26 @@
 Each reference is evaluated with mpmath at 30 significant digits, from the
 continued-fraction form of W10 (a different grouping from the closed form
 that `core_model._w10_terms` evaluates) and Poisson weights from
-exp(-mu) mu^n / n!, so it shares no code with the path under test.
+exp(-mu) mu^n / n!, so it shares no code with the path under test.  The
+oracle's propagator is checked against mpmath's matrix exponential at 40
+digits.
 """
 
+import math
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from eitgate import (DegenerateDenominator, OptimizationConstraints, SystemParams,
-                     base_params, design_point, optimal_detuning, w10)
+from eitgate import (DegenerateDenominator, OptimizationConstraints, PhaseTarget,
+                     SystemParams, base_params, design_point, gate_time, optimal_detuning,
+                     w10)
 from eitgate.core_model import EPS_DEN, _w10_terms
 from eitgate.coherent_gate import (_one_qubit_budget, _poisson_window, _quadrature_budget,
                                    _two_qubit_budget)
 from eitgate.design_optimizer import _one_qubit_dec_limit
+from eitgate.lindblad_oracle import chain_matrix, integrate
 
 DIGITS = 30
 FIELDS = ("delta_total", "delta_decoherence", "delta_coherent_spread")
@@ -215,3 +220,23 @@ def test_w10_near_the_degeneracy_threshold():
     omega_b = np.array([p.omega_b_tilde for p in points])
     _, _, flags = _w10_terms(points[0], omega_b, points[0].omega_c)
     assert list(flags) == degenerate
+
+
+def test_oracle_propagator_at_the_hard_point():
+    # check-oracle's 0.1 gamma_20 point over its default span, one gate time,
+    # against exp(A t) y0 at 40 digits of the same double-precision generator
+    p = replace(SystemParams(), omega_a_tilde=0.1, n_a=1)
+    t_final = gate_time(p, PhaseTarget(math.pi)) / p.omega_a
+    assert t_final == pytest.approx(9466.67, rel=1e-6)
+    y0 = np.array([0.5, 0.0, 0.0, 0.0])
+    state = integrate(p, y0, np.array([t_final]))[0]
+    a = chain_matrix(p)
+    with mp.workdps(40):
+        ref = mp.expm(mp.matrix(a.tolist()) * t_final) * mp.matrix(y0.tolist())
+        err = [mp.mpc(complex(x)) - r for x, r in zip(state, ref)]
+        rel_rho_10 = float(abs(err[0]) / abs(ref[0]))
+        err_norm = float(mp.norm(mp.matrix(err)))
+    # measured: 5.5e-13
+    assert rel_rho_10 <= 1e-11
+    # the bound integrate's docstring states: 1e-9 (1 + ||A|| t) |y0| in 2-norms
+    assert err_norm <= 1e-9 * (1 + np.linalg.norm(a, 2) * t_final) * np.linalg.norm(y0)
