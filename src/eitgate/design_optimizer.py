@@ -5,9 +5,10 @@ ground-state dephasing, inverts that map to the largest tolerable dephasing
 for a target error, and tabulates trade-off curves over a grid.  All searches
 are deterministic: Brent's bounded method on ln alpha_b, bracketed around the
 optimum of the closed-form Gaussian model (`analytic_design.gaussian_error`),
-with Brent on ln nu_c, seeded at the closed-form optimum, nested inside.  The
-inversion and the one-qubit amplitude search bisect fixed lattices (`_last_true`)
-from brackets around Gaussian estimates, which they validate and widen.
+with nu_c at each point the closed-form optimum `optimal_detuning` of the mean
+Fock component.  The inversion and the one-qubit amplitude search bisect fixed
+lattices (`_last_true`) from brackets around Gaussian estimates, which they
+validate and widen.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ _GAMMA_SEED = 1.05  # the inversion's first bracket: the model's gamma_10 times 
 _MIN_ALPHA_SPAN = (0.5, 400.0)   # the lattice of min_alpha_b
 _MIN_ALPHA_SEED = 1.01  # min_alpha_b's first bracket: its estimate times this^+-1
 _CERT_SLACK = 1e-4
-_NU_XATOL = 4.4e-5  # on ln nu_c: half the final bracket of the golden search it replaced
 _ALPHA_SEED = 1.25  # the alpha_b bracket: the model's alpha_b times this^+-1, widened by it
 _ALPHA_XATOL = 1e-3  # on ln alpha_b
 
@@ -126,30 +126,28 @@ def base_params(constraints: OptimizationConstraints, gamma_10: float) -> System
     )
 
 
-def _golden_min(f, lo: float, hi: float):
-    """(nu, f(nu)) minimizing f over [lo, hi] to within _NU_XATOL on ln nu, by
-    Brent's bounded method (Brent 1973, ch. 5).  The name is the golden
-    section's it replaced: perfbench counts its evaluations as
-    `design_optimizer.golden.evals`.
+def _golden_min(f, lo: float, hi: float, xatol: float):
+    """(x, f(x)) minimizing f over [lo, hi] to within xatol on ln x, by
+    Brent's bounded method (Brent 1973, ch. 5).  The one such search: the
+    alpha_b search and the Gaussian model's run through it.  The name is the
+    golden section's it replaced, kept because perfbench counts its
+    evaluations as `design_optimizer.golden.evals`.
     """
     result = minimize_scalar(lambda x: f(math.exp(x)), bounds=(math.log(lo), math.log(hi)),
-                             method="bounded", options={"xatol": _NU_XATOL})
+                             method="bounded", options={"xatol": xatol})
     return math.exp(result.x), result.fun
-
-
-def _nu_bracket(params: SystemParams, alpha_b: float) -> tuple[float, float]:
-    mean = _unchecked(params, omega_b_tilde=params.omega_b_tilde * alpha_b)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        seed = optimal_detuning(mean)
-    return seed / 100.0, seed * 100.0
 
 
 def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
                       constraints: OptimizationConstraints):
-    """(nu_c, delta_total) minimizing delta_total over nu_c at fixed alpha_b."""
-    return _golden_min(lambda nu: _two_qubit_delta(params, nu, alpha_b, constraints.phi),
-                       *_nu_bracket(params, alpha_b))
+    """(nu_c, delta_total) at alpha_b, nu_c the closed-form optimum of the
+    mean component (at most 1.2e-6 above the minimum over nu_c at the fig2
+    designs)."""
+    mean = _unchecked(params, omega_b_tilde=params.omega_b_tilde * alpha_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        nu = optimal_detuning(mean)
+    return nu, _two_qubit_delta(params, nu, alpha_b, constraints.phi)
 
 
 def _model(gamma_10: float, constraints: OptimizationConstraints):
@@ -162,52 +160,49 @@ def _model(gamma_10: float, constraints: OptimizationConstraints):
     params, target = base_params(constraints, gamma_10), PhaseTarget(constraints.phi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        result = minimize_scalar(lambda x: gaussian_error(params, math.exp(x), target),
-                                 bounds=tuple(map(math.log, constraints.alpha_b_range)),
-                                 method="bounded", options={"xatol": 1e-2})
-    return math.exp(result.x), result.fun
+        return _golden_min(lambda alpha: gaussian_error(params, alpha, target),
+                           *constraints.alpha_b_range, xatol=1e-2)
 
 
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
-    """Minimization of the total error over (ln alpha_b, ln nu_c).
+    """Minimization of the total error over ln alpha_b, nu_c in closed form.
 
     Brent's search on ln alpha_b starts from the Gaussian model's alpha_b
     times _ALPHA_SEED^+-1, clipped to alpha_b_range (from the range's
     geometric centre where the model fails), and the bracket widens by that
     factor while the optimum sits at an inner bracket end.  Every point is
-    ranked by _two_qubit_delta alone; the full design and budget are built
-    once, at the result.
+    ranked by _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu);
+    the full design and budget are built once, at the result.
     """
     params = base_params(constraints, gamma_10)
-    phi = constraints.phi
-    low, high = map(math.log, constraints.alpha_b_range)
+    low, high = constraints.alpha_b_range
     try:
-        seed = math.log(_model(gamma_10, constraints)[0])
+        seed = _model(gamma_10, constraints)[0]
     except (GateModelError, ArithmeticError, ValueError):
         seed = math.nan
     if not math.isfinite(seed):
-        seed = 0.5 * (low + high)
+        seed = math.sqrt(low * high)
     seed = min(high, max(low, seed))
 
-    found = {}   # ln alpha_b -> (nu_c, delta_total)
+    found = {}   # alpha_b -> (nu_c, delta_total)
 
-    def at_min_nu(x):
-        found[x] = _two_qubit_min_nu(params, math.exp(x), constraints)
-        return found[x][1]
+    def at_min_nu(alpha):
+        found[alpha] = _two_qubit_min_nu(params, alpha, constraints)
+        return found[alpha][1]
 
-    step = math.log(_ALPHA_SEED)
-    lo, hi = max(low, seed - step), min(high, seed + step)
+    lo, hi = max(low, seed / _ALPHA_SEED), min(high, seed * _ALPHA_SEED)
     while True:
-        x = float(minimize_scalar(at_min_nu, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": _ALPHA_XATOL}).x)
+        alpha, _ = _golden_min(at_min_nu, lo, hi, xatol=_ALPHA_XATOL)
         # Brent stops within _ALPHA_XATOL of a bracket end it runs into
-        at_lo, at_hi = x - lo <= 2 * _ALPHA_XATOL, hi - x <= 2 * _ALPHA_XATOL
+        at_lo = math.log(alpha / lo) <= 2 * _ALPHA_XATOL
+        at_hi = math.log(hi / alpha) <= 2 * _ALPHA_XATOL
         at_edge = (at_lo and lo == low) or (at_hi and hi == high)
         if at_edge or not (at_lo or at_hi):
             break
-        lo, hi = (max(low, lo - step), hi) if at_lo else (lo, min(high, hi + step))
+        lo, hi = ((max(low, lo / _ALPHA_SEED), hi) if at_lo
+                  else (lo, min(high, hi * _ALPHA_SEED)))
 
-    design = design_point(params, found[x][0], math.exp(x), phi)
+    design = design_point(params, found[alpha][0], alpha, constraints.phi)
     budget = _two_qubit_budget(params, design)
     return params, design, budget, at_edge
 
@@ -257,12 +252,12 @@ def optimize_design(gamma_10: float,
     """Design minimizing the total gate error at the given dephasing.
 
     Two-qubit mode runs Brent's bounded minimization over ln alpha_b (to
-    within _ALPHA_XATOL) around the Gaussian model's optimum with, inside
-    it, the same over ln nu_c (to within _NU_XATOL) on two decades
-    either side of the closed-form optimum, and certifies the result against
-    +/-5% perturbations on both axes.  One-qubit mode puts
-    nu_c at the closed-form minimizer of the decoherence floor and reports
-    the smallest alpha_b whose spread error stays below that floor.
+    within _ALPHA_XATOL) around the Gaussian model's optimum, with nu_c at
+    each point the closed-form optimum `optimal_detuning` of the mean Fock
+    component, and certifies the result against +/-5% perturbations on both
+    axes.  One-qubit mode puts nu_c at the closed-form minimizer of the
+    decoherence floor and reports the smallest alpha_b whose spread error
+    stays below that floor.
 
     Raises
     ------
