@@ -27,8 +27,8 @@ from .analytic_design import (PhaseTarget, asymptotic_design, decoherence_error,
                               fock_dephasing_bound, gate_time, optimal_detuning,
                               tau_eff)
 from .core_model import SystemParams, kerr_approximation, w10
-from .design_optimizer import (OptimizationConstraints, SweepSpec, max_dephasing,
-                               optimize_design, sweep)
+from .design_optimizer import (OptimizationConstraints, SweepSpec, _check_design_value,
+                               max_dephasing, optimize_design, sweep)
 from .errors import ConfigError, GateModelError, InvalidInput
 from .lindblad_oracle import verify_qss
 
@@ -58,10 +58,9 @@ class DesignOptions:
         if self.delta_target is not None and self.gamma_10 is not None:
             raise InvalidInput(f"set 'delta_target' or 'gamma_10', not both; got "
                                f"{self.delta_target} and {self.gamma_10}")
-        if self.delta_target is not None and not 0.0 < self.delta_target < 0.5:
-            raise InvalidInput(f"'delta_target' must be in (0, 0.5), got {self.delta_target}")
-        if self.gamma_10 is not None and self.gamma_10 <= 0:
-            raise InvalidInput(f"'gamma_10' must be > 0, got {self.gamma_10}")
+        for quantity in ("delta_target", "gamma_10"):
+            if getattr(self, quantity) is not None:
+                _check_design_value(quantity, getattr(self, quantity))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ Finds the (nu_c, alpha_b) pair minimizing the total gate error at a given
 ground-state dephasing, inverts that map to the largest tolerable dephasing
 for a target error, and tabulates trade-off curves over a grid.  All searches
 are deterministic: Brent's bounded method on ln alpha_b, bracketed around the
-optimum of the closed-form Gaussian model (`analytic_design.gaussian_error`),
-with nu_c at each point the closed-form optimum `optimal_detuning` of the mean
-Fock component.  The inversion and the one-qubit amplitude search bisect fixed
-lattices (`_last_true`) from brackets around Gaussian estimates, which they
+strong-drive closed-form optimum (`_seed_alpha_b`), with nu_c at each point
+the closed-form optimum `optimal_detuning` of the mean Fock component.  The
+inversion and the one-qubit amplitude search bisect fixed lattices
+(`_last_true`) from brackets around closed-form estimates, which they
 validate and widen.
 """
 
@@ -18,9 +18,9 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .analytic_design import PhaseTarget, gaussian_error, optimal_detuning, tau_eff
+from .analytic_design import PhaseTarget, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
                             _one_qubit_budget, _two_qubit_budget, _two_qubit_delta,
                             design_point)
@@ -30,11 +30,11 @@ from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
 
 _STEPS = 2 ** 14  # geometric steps of every lattice
 _GAMMA_SPAN = (1e-14, 1e-1)   # the lattice of max_dephasing
-_GAMMA_SEED = 1.05  # the inversion's first bracket: the model's gamma_10 times this^+-1
+_GAMMA_SEED = 1.05  # the inversion's first bracket: the seed's gamma_10 times this^+-1
 _MIN_ALPHA_SPAN = (0.5, 400.0)   # the lattice of min_alpha_b
 _MIN_ALPHA_SEED = 1.01  # min_alpha_b's first bracket: its estimate times this^+-1
 _CERT_SLACK = 1e-4
-_ALPHA_SEED = 1.25  # the alpha_b bracket: the model's alpha_b times this^+-1, widened by it
+_ALPHA_SEED = 1.25  # the alpha_b bracket: the seed's alpha_b times this^+-1, widened by it
 _ALPHA_XATOL = 1e-3  # on ln alpha_b
 
 
@@ -103,6 +103,16 @@ class SweepSpec:
             raise InvalidInput(f"unknown sweep quantity {self.quantity!r}")
         if len(self.values) == 0:
             raise InvalidInput("sweep grid is empty")
+        for value in self.values:
+            _check_design_value(self.quantity, value)
+
+
+def _check_design_value(quantity: str, value: float) -> None:
+    """InvalidInput unless value is in range: a delta_target in (0, 0.5), a gamma_10 > 0."""
+    if quantity == "delta_target" and not 0.0 < value < 0.5:
+        raise InvalidInput(f"'delta_target' must be in (0, 0.5), got {value}")
+    if quantity == "gamma_10" and not value > 0.0:
+        raise InvalidInput(f"'gamma_10' must be > 0, got {value}")
 
 
 def base_params(constraints: OptimizationConstraints, gamma_10: float) -> SystemParams:
@@ -128,10 +138,9 @@ def base_params(constraints: OptimizationConstraints, gamma_10: float) -> System
 
 def _golden_min(f, lo: float, hi: float, xatol: float):
     """(x, f(x)) minimizing f over [lo, hi] to within xatol on ln x, by
-    Brent's bounded method (Brent 1973, ch. 5).  The one such search: the
-    alpha_b search and the Gaussian model's run through it.  The name is the
-    golden section's it replaced, kept because perfbench counts its
-    evaluations as `design_optimizer.golden.evals`.
+    Brent's bounded method (Brent 1973, ch. 5).  The alpha_b search runs
+    through it.  The name is the golden section's it replaced, kept because
+    perfbench counts its evaluations as `design_optimizer.golden.evals`.
     """
     result = minimize_scalar(lambda x: f(math.exp(x)), bounds=(math.log(lo), math.log(hi)),
                              method="bounded", options={"xatol": xatol})
@@ -150,35 +159,62 @@ def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
     return nu, _two_qubit_delta(params, nu, alpha_b, constraints.phi)
 
 
-def _model(gamma_10: float, constraints: OptimizationConstraints):
-    """(alpha_b, delta) minimizing the Gaussian model over alpha_b_range.
+def _seed_rates(constraints: OptimizationConstraints) -> tuple[float, float]:
+    """(gamma_20, c), in units |Omega~_a| = 1: at the mean component
+    gamma_20~ = gamma_20 + gamma_40 |Omega_b|^2 / |Omega_c|^2 = gamma_20 + c alpha_b^2."""
+    gamma_20 = 1.0 / constraints.omega_a_over_gamma_20
+    return gamma_20, constraints.suppression * gamma_20 * constraints.omega_b_sq_over_omega_c_sq
 
-    Brent's bounded method on ln alpha_b to within 1e-2.  Only a seed: it
-    raises whatever the closed forms raise, and its values may be
-    non-finite; every caller validates what it takes from it.
+
+def _seed_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
+    """alpha_b minimizing the strong-drive error model 2 tau + (phi / alpha_b)^2:
+    tau = 2 phi sqrt(gamma_10 (gamma_20 + c alpha_b^2)) is `asymptotic_design`'s
+    exposure at the mean component, (phi / alpha_b)^2 the phase spread in the
+    Kerr limit Re W10 ~ 1/n_b.  y = alpha_b^2 is the positive root of the
+    convex 4 c^2 gamma_10 y^4 - phi^2 (c y + gamma_20), by Newton's method
+    from twice the larger one-term root, down until the iterates stop
+    falling.  Only a seed: it may raise ArithmeticError or be non-finite.
     """
-    params, target = base_params(constraints, gamma_10), PhaseTarget(constraints.phi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        return _golden_min(lambda alpha: gaussian_error(params, alpha, target),
-                           *constraints.alpha_b_range, xatol=1e-2)
+    gamma_20, c = _seed_rates(constraints)
+    phi_sq, quartic = constraints.phi ** 2, 4.0 * c * c * gamma_10
+    y = 2.0 * max((phi_sq * c / quartic) ** (1 / 3), (phi_sq * gamma_20 / quartic) ** 0.25)
+    while True:
+        step = ((quartic * y ** 4 - phi_sq * (c * y + gamma_20))
+                / (4.0 * quartic * y ** 3 - phi_sq * c))
+        if not y - step < y:
+            return math.sqrt(y)
+        y -= step
+
+
+def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints) -> float:
+    """gamma_10 at which `_seed_alpha_b`'s optimum meets delta_target: there
+    the exponent 3 phi^2 u + (2 phi^2 gamma_20 / c) u^2, u = 1/alpha_b^2,
+    equals x = -ln(1 - delta_target), and gamma_10 = phi^2 (gamma_20 + c/u)
+    u^4 / (4 c^2).  Only a seed: it may raise ArithmeticError or be 0 or
+    non-finite.
+    """
+    gamma_20, c = _seed_rates(constraints)
+    phi_sq, x = constraints.phi ** 2, -math.log1p(-delta_target)
+    b = 3.0 * phi_sq
+    u = 2.0 * x / (b + math.sqrt(b * b + 8.0 * phi_sq * gamma_20 / c * x))
+    return phi_sq * (gamma_20 + c / u) * u ** 4 / (4.0 * c * c)
 
 
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
     """Minimization of the total error over ln alpha_b, nu_c in closed form.
 
-    Brent's search on ln alpha_b starts from the Gaussian model's alpha_b
-    times _ALPHA_SEED^+-1, clipped to alpha_b_range (from the range's
-    geometric centre where the model fails), and the bracket widens by that
-    factor while the optimum sits at an inner bracket end.  Every point is
-    ranked by _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu);
-    the full design and budget are built once, at the result.
+    Brent's search on ln alpha_b starts from `_seed_alpha_b` times
+    _ALPHA_SEED^+-1, clipped to alpha_b_range (from the range's geometric
+    centre where the seed fails), and the bracket widens by that factor while
+    the optimum sits at an inner bracket end.  Every point is ranked by
+    _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu); the full
+    design and budget are built once, at the result.
     """
     params = base_params(constraints, gamma_10)
     low, high = constraints.alpha_b_range
     try:
-        seed = _model(gamma_10, constraints)[0]
-    except (GateModelError, ArithmeticError, ValueError):
+        seed = _seed_alpha_b(gamma_10, constraints)
+    except ArithmeticError:
         seed = math.nan
     if not math.isfinite(seed):
         seed = math.sqrt(low * high)
@@ -252,12 +288,12 @@ def optimize_design(gamma_10: float,
     """Design minimizing the total gate error at the given dephasing.
 
     Two-qubit mode runs Brent's bounded minimization over ln alpha_b (to
-    within _ALPHA_XATOL) around the Gaussian model's optimum, with nu_c at
-    each point the closed-form optimum `optimal_detuning` of the mean Fock
-    component, and certifies the result against +/-5% perturbations on both
-    axes.  One-qubit mode puts nu_c at the closed-form minimizer of the
-    decoherence floor and reports the smallest alpha_b whose spread error
-    stays below that floor.
+    within _ALPHA_XATOL) around the strong-drive closed-form optimum
+    (`_seed_alpha_b`), with nu_c at each point the closed-form optimum
+    `optimal_detuning` of the mean Fock component, and certifies the result
+    against +/-5% perturbations on both axes.  One-qubit mode puts nu_c at
+    the closed-form minimizer of the decoherence floor and reports the
+    smallest alpha_b whose spread error stays below that floor.
 
     Raises
     ------
@@ -265,8 +301,7 @@ def optimize_design(gamma_10: float,
         If the optimum sits at the edge of the search range or the
         local-minimum certificate fails.
     """
-    if gamma_10 <= 0:
-        raise InvalidInput(f"gamma_10 must be > 0, got {gamma_10}")
+    _check_design_value("gamma_10", gamma_10)
     if constraints.mode == ONE_QUBIT:
         return _one_qubit_design(gamma_10, constraints)
     return _certified(*_two_qubit_optimize(gamma_10, constraints), constraints)
@@ -289,7 +324,7 @@ def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: flo
     The detuning is held at nu_c; alpha_c tracks alpha_b at the given ratio.
     The lattice is alpha_j = 0.5 * 800^(j / _STEPS), spanning
     _MIN_ALPHA_SPAN = [0.5, 400], and the spread error must fall as alpha_b
-    grows.  `_last_true` starts from _MIN_ALPHA_SEED^+-1 around the Gaussian
+    grows.  `_last_true` starts from _MIN_ALPHA_SEED^+-1 around the
     estimate spread ~ phi^2 (1/alpha_b^2 + 1/alpha_c^2).  The returned pair
     is the one the search evaluated at its result.
     """
@@ -309,21 +344,6 @@ def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: flo
         raise NotAttainable(f"spread error still above {delta_target} at alpha_b = "
                             f"{_MIN_ALPHA_SPAN[1]}")
     return evaluated[j]
-
-
-def _model_gamma(delta_target: float, constraints: OptimizationConstraints):
-    """gamma_10 at which the Gaussian model's optimum meets delta_target.
-
-    brentq on ln delta* - ln delta_target over ln gamma_10 in _GAMMA_SPAN;
-    None when the model has no root there or fails.
-    """
-    def excess(x):
-        return math.log(_model(math.exp(x), constraints)[1] / delta_target)
-
-    try:
-        return math.exp(brentq(excess, *map(math.log, _GAMMA_SPAN), xtol=1e-2))
-    except (GateModelError, ArithmeticError, ValueError):  # ValueError: no sign change
-        return None
 
 
 def _lattice(k: int, span=_GAMMA_SPAN) -> float:
@@ -374,9 +394,9 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     _GAMMA_SPAN = [1e-14, 1e-1]; the result is its largest point whose
     optimized error is at most delta_target, provided that error is monotone
     nondecreasing in the dephasing.  `_last_true` searches k: in two-qubit
-    mode from _GAMMA_SEED^+-1 around the Gaussian model's inverse
-    (`_model_gamma`), each point checked by a full search; without a model
-    root, and in one-qubit mode (on the decoherence floor), from the whole
+    mode from _GAMMA_SEED^+-1 around the strong-drive closed form's inverse
+    (`_seed_gamma_10`), each point checked by a full search; where that seed
+    fails, and in one-qubit mode (on the decoherence floor), from the whole
     lattice.  Returns (gamma_10, design, budget); a two-qubit design is the
     search run there, and its delta_total is at most delta_target.
 
@@ -389,8 +409,7 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
         If the returned two-qubit design misses delta_target, or its search
         fails to certify.
     """
-    if not 0.0 < delta_target < 0.5:
-        raise InvalidInput(f"delta_target must be in (0, 0.5), got {delta_target}")
+    _check_design_value("delta_target", delta_target)
     searches = {}
 
     def meets(k: int) -> bool:
@@ -402,8 +421,11 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
 
     lo, hi = 0, _STEPS
     if constraints.mode == TWO_QUBIT:
-        guess = _model_gamma(delta_target, constraints)
-        if guess is not None:
+        try:
+            guess = _seed_gamma_10(delta_target, constraints)
+        except ArithmeticError:
+            guess = math.nan
+        if 0.0 < guess < math.inf:
             lo, hi = _bracket(guess, _GAMMA_SEED, _GAMMA_SPAN)
     k = _last_true(meets, lo, hi)
     if k < 0:

@@ -43,6 +43,7 @@ def _run(tmp_path, doc: dict, *argv) -> int:
 _NUMBER = st.one_of(st.integers(-10 ** 6, 10 ** 6),
                    st.floats(allow_nan=False, allow_infinity=False))
 _POSITIVE = st.floats(1e-6, 1e6)
+_TARGET = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
 _RATE = st.floats(0.0, 10.0)
 
 
@@ -92,18 +93,17 @@ class TestConfigParsing:
     @given(doc=st.fixed_dictionaries({}, optional={
         "system": st.fixed_dictionaries({}, optional=_SYSTEM_FIELDS),
         "constraints": _CONSTRAINTS,
-        "sweep": st.fixed_dictionaries({}, optional={
-            "quantity": st.sampled_from(["gamma_10", "delta_target"]),
-            "values": st.lists(_NUMBER, min_size=1, max_size=4),
+        # each grid holds values in the range of its quantity
+        "sweep": st.one_of(*(st.fixed_dictionaries({"quantity": st.just(quantity)}, optional={
+            "values": st.lists(values, min_size=1, max_size=4),
             "constraint_sets": st.lists(_CONSTRAINTS, max_size=3),
-        }),
+        }) for quantity, values in (("gamma_10", _POSITIVE), ("delta_target", _TARGET)))),
         "eval": st.fixed_dictionaries({}, optional={
             "phi": st.floats(1e-6, 2 * PI), "delta": _POSITIVE,
             "n_b": st.integers(1, 10 ** 6), "kerr": st.booleans(),
         }),
         "design": st.one_of(
-            st.fixed_dictionaries({}, optional={"delta_target": st.one_of(
-                st.none(), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))}),
+            st.fixed_dictionaries({}, optional={"delta_target": st.one_of(st.none(), _TARGET)}),
             st.fixed_dictionaries({}, optional={"gamma_10": st.one_of(st.none(), _POSITIVE)}),
         ),
         "check_oracle": st.fixed_dictionaries({}, optional={
@@ -325,6 +325,27 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"design": {"delta_target": 0.7}}))
         assert main(["design", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity, values", [
+        ("delta_target", [0.2, 0.7]), ("gamma_10", [0.0]), ("gamma_10", [1e-6, -1e-6]),
+    ], ids=["delta_target=0.7", "gamma_10=0", "gamma_10=-1e-6"])
+    def test_out_of_range_sweep_grid_exits_2(self, tmp_path, capsys, quantity, values):
+        # a grid value is checked against the range of the design block's
+        # key of the same name, before any point runs
+        doc = {"sweep": {"quantity": quantity, "values": values}}
+        assert _run(tmp_path, doc, "sweep") == 2
+        err = capsys.readouterr().err
+        assert "invalid 'sweep' block" in err and quantity in err
+
+    @pytest.mark.parametrize("flags", [["--gamma10", "1e-6"], ["--delta", "0.2"]])
+    def test_failed_seed_falls_back(self, tmp_path, capsys, flags):
+        # at suppression 1e-200 both closed-form seeds divide by an
+        # underflowed 4 c^2 gamma_10; the searches run from their unseeded
+        # brackets and report the optimum at the alpha_b range's edge
+        doc = {"constraints": {"suppression": 1e-200}}
+        assert _run(tmp_path, doc, "design", *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("NoConvergence") and "edge" in err
 
     def test_both_design_flags_exit_2(self, capsys):
         # the flags build one design block, which holds at most one key
