@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
-from scipy.linalg import eigh_tridiagonal
 
 from .analytic_design import PhaseTarget, gate_time
 from .core_model import SystemParams, _unchecked, _w10_terms
@@ -29,7 +27,7 @@ from .errors import InvalidInput
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
-WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs read 101
+WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs build 108, reuse 20
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"
@@ -102,31 +100,54 @@ class ErrorBudget:
             raise InvalidInput("delta_total inconsistent with 1 - fidelity^2")
 
 
+_LN_FACTORIAL = np.array([math.lgamma(k + 1.0) for k in range(2048)])   # ln k!
+
+
+def _poisson_log_pmf(bottom: int, top: int, mu: float) -> np.ndarray:
+    """ln P(k) of Poisson(mu), mu > 0, at k = bottom .. top.
+
+    A grid inside the table reads ln k! off it: k ln mu - ln k! - mu.  Past
+    the table's end, bottom > 1,000, and Stirling's series for ln k! =
+    ln Gamma(z), z = k + 1, is folded into k ln(mu / z) + (z - mu)
+    - ln(2 pi z) / 2 - S(z), with ln(mu / z) as log1p((mu - z) / z): the large
+    terms cancel before they are rounded, so the error is of order
+    eps_machine |mu - z| rather than eps_machine mu ln mu.
+    S(z) = 1/(12 z) - 1/(360 z^3) leaves out less than 1/(1260 z^5) < 1e-18.
+    """
+    k = np.arange(bottom, top + 1, dtype=float)
+    if top < len(_LN_FACTORIAL):
+        return k * math.log(mu) - _LN_FACTORIAL[bottom:top + 1] - mu
+    z = k + 1.0
+    r = 1.0 / z
+    return (k * np.log1p((mu - z) * r) + (z - mu) - 0.5 * np.log((2.0 * math.pi) * z)
+            - (1.0 / 12.0 - r * r / 360.0) * r)
+
+
 def _poisson_window(mu: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Fock indices covering all but <= EPS_TRUNC of Poisson(mu), with weights.
 
     Returns (indices, weights, missing) where missing is the mass outside the
-    window, at most EPS_TRUNC / 2 on each side.  Weights and tails use the
-    scipy.special calls behind the pmf, sf and cdf of scipy's poisson, so they
-    match it bit for bit.  The ends are read off the cumulative pmf over a grid
-    reaching 10 sqrt(mu) + 30 either side of the mean (the mass beyond is below
-    1e-20).  Each end takes one index of slack, so that the sums' rounding
-    cannot leave a side above its bound; the exact tails are then checked.
-    missing is measured rather than taken as 1 - sum(pmf): the pmf bulk carries
-    a coherent relative rounding of order mu * eps_machine that would
-    otherwise be mistaken for truncated mass.
+    window, at most EPS_TRUNC / 2 on each side.  The weights are
+    exp(_poisson_log_pmf) over a grid reaching 10 sqrt(mu) + 30 either side of
+    the mean; the mass beyond the grid is below 1e-20, so the ends and both
+    tails are read off the grid's own cumulative sums, each summed from its
+    far end.  Each end takes one index of slack, so that the sums' rounding
+    cannot leave a side above its bound; each tail is then checked.  missing
+    is measured rather than taken as 1 - sum(pmf): the pmf bulk carries a
+    rounding that would otherwise be mistaken for truncated mass.
     """
     if mu == 0.0:
         return np.array([0]), np.array([1.0]), 0.0
     side = EPS_TRUNC / 2.0
     reach = 10.0 * math.sqrt(mu) + 30.0
     bottom, top = max(0, int(mu - reach)), int(mu + reach)
-    grid = np.arange(bottom, top + 1)
-    pmf = np.exp(special.xlogy(grid, mu) - special.gammaln(grid + 1) - mu)
-    lo = max(0, bottom + int(np.searchsorted(np.cumsum(pmf), side, "right")) - 1)
-    hi = top - int(np.searchsorted(np.cumsum(pmf[::-1]), side, "right")) + 1
-    upper = float(special.pdtrc(hi, mu))
-    lower = float(special.pdtr(lo - 1, mu)) if lo > 0 else 0.0
+    pmf = np.exp(_poisson_log_pmf(bottom, top, mu))
+    below, above = np.cumsum(pmf), np.cumsum(pmf[::-1])
+    cut_lo = int(np.searchsorted(below, side, "right"))
+    cut_hi = int(np.searchsorted(above, side, "right"))
+    lo, hi = max(0, bottom + cut_lo - 1), top - cut_hi + 1
+    lower = float(below[cut_lo - 2]) if cut_lo > 1 else 0.0
+    upper = float(above[cut_hi - 2]) if cut_hi > 1 else 0.0
     if not bottom <= lo <= hi <= top or upper > side or lower > side:
         raise ArithmeticError(f"Poisson window at mu = {mu} leaves out more than {EPS_TRUNC}")
     return np.arange(lo, hi + 1), pmf[lo - bottom:hi - bottom + 1], upper + lower
@@ -269,7 +290,8 @@ def _gauss_charlier(mu: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     weights the squared first components of its eigenvectors.
     """
     k = np.arange(m, dtype=float)
-    nodes, vectors = eigh_tridiagonal(k + mu, np.sqrt(k[1:] * mu))
+    jacobi = np.diag(k + mu) + np.diag(np.sqrt(k[1:] * mu), -1)   # eigh reads the lower half
+    nodes, vectors = np.linalg.eigh(jacobi)
     return nodes, vectors[0] ** 2
 
 

@@ -18,8 +18,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from scipy.optimize import minimize_scalar
-
 from .analytic_design import PhaseTarget, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
                             _one_qubit_budget, _two_qubit_budget, _two_qubit_delta,
@@ -139,12 +137,92 @@ def base_params(constraints: OptimizationConstraints, gamma_10: float) -> System
 def _golden_min(f, lo: float, hi: float, xatol: float):
     """(x, f(x)) minimizing f over [lo, hi] to within xatol on ln x, by
     Brent's bounded method (Brent 1973, ch. 5).  The alpha_b search runs
-    through it.  The name is the golden section's it replaced, kept because
-    perfbench counts its evaluations as `design_optimizer.golden.evals`.
+    through it.  The name is the golden section's it replaced, kept
+    because perfbench counts its evaluations as `design_optimizer.golden.evals`.
     """
-    result = minimize_scalar(lambda x: f(math.exp(x)), bounds=(math.log(lo), math.log(hi)),
-                             method="bounded", options={"xatol": xatol})
-    return math.exp(result.x), result.fun
+    # A line-for-line port of _minimize_scalar_bounded in scipy.optimize
+    # (scipy 1.17; Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
+    # Developers; BSD-3-Clause), without its option checks and messages.  It
+    # evaluates the same points in the same order, so x, f(x) and the number
+    # of evaluations equal those of minimize_scalar(method="bounded").
+    def func(t):
+        return f(math.exp(t))
+
+    def sign(v):   # numpy's sign(v) + (v == 0)
+        return 1.0 if v >= 0.0 else -1.0
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = math.log(lo), math.log(hi)
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * sign(xm - xf)
+            else:
+                golden = True
+
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        x = xf + sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= 500:    # scipy's default maxiter
+            break
+
+    return math.exp(xf), fx
 
 
 def _two_qubit_min_nu(params: SystemParams, alpha_b: float,

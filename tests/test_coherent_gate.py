@@ -4,10 +4,13 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 import eitgate
@@ -15,9 +18,9 @@ from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, InvalidInpu
                      NotAttainable, SystemParams, design_point, min_alpha_b,
                      optimal_detuning, w10)
 from eitgate import coherent_gate, design_optimizer
-from eitgate.coherent_gate import (EPS_TRUNC, _fock_sum, _gauss_charlier, _one_qubit_budget,
-                                   _poisson_window, _quadrature_budget, _response_grid,
-                                   _two_qubit_budget)
+from eitgate.coherent_gate import (EPS_TRUNC, GAUSS_ORDERS, _fock_sum, _gauss_charlier,
+                                   _one_qubit_budget, _poisson_window, _quadrature_budget,
+                                   _response_grid, _two_qubit_budget)
 from conftest import w10_continued_fraction
 
 PI = math.pi
@@ -41,6 +44,35 @@ def lossless(**kwargs):
 def poisson_pmf(n, mu):
     """Poisson weight from lgamma, independent of scipy."""
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1)) if mu > 0 else float(n == 0)
+
+
+# |w - p| <= ROUNDING_UNITS eps (1 + k |ln mu| + ln k! + mu) p for a window
+# weight w of the Poisson pmf p(k): the rounding of the log-pmf's three terms
+# and of exp.  Measured at 162 mu from 1e-6 to 1e5: at most 0.98 for the
+# window, 0.94 for scipy.stats' pmf.
+ROUNDING_UNITS = 2.0
+
+
+def mpmath_pmf(lo, hi, mu):
+    """Poisson(mu) pmf at k = lo .. hi to 30 digits, by the ratio p(k + 1) / p(k),
+    as two float arrays whose sum it is (the second holds the first's rounding)."""
+    head, tail = [], []
+    with mpmath.workdps(30):
+        m = mpmath.mpf(mu)
+        p = mpmath.exp(lo * mpmath.log(m) - mpmath.loggamma(lo + 1) - m)
+        for k in range(lo, hi + 1):
+            head.append(float(p))
+            tail.append(float(p - head[-1]))
+            p = p * m / (k + 1)
+    return np.array(head), np.array(tail)
+
+
+def assert_pmf_rounding(n, weights, mu, reference):
+    """Each weight within ROUNDING_UNITS of the 30-digit reference pmf."""
+    head, tail = reference
+    scale = np.finfo(float).eps * (1.0 + n * abs(math.log(mu)) + gammaln(n + 1.0) + mu)
+    err = np.abs((weights - head) - tail) / head   # weights - head is exact
+    assert np.max(err / scale) <= ROUNDING_UNITS
 
 
 def kerr_overlap(mu, phi, n_terms):
@@ -89,8 +121,11 @@ class TestTruncationBound:
             n, weights, missing = _poisson_window(mu)
             assert missing <= EPS_TRUNC
             expected = poisson.sf(n[-1], mu) + (poisson.cdf(n[0] - 1, mu) if n[0] > 0 else 0.0)
-            assert missing == expected
-            # scipy's pmf bulk carries a relative rounding of order mu * eps_machine
+            assert missing == pytest.approx(expected, rel=1e-9, abs=0.0)
+            reference = mpmath_pmf(int(n[0]), int(n[-1]), mu)
+            assert_pmf_rounding(n, weights, mu, reference)
+            assert_pmf_rounding(n, poisson.pmf(n, mu), mu, reference)
+            # the pmf bulk carries a relative rounding of order mu * eps_machine
             tol = 1e-12 + 10 * mu * np.finfo(float).eps
             assert math.fsum(weights) + missing == pytest.approx(1.0, abs=tol)
 
@@ -104,21 +139,51 @@ class TestTruncationBound:
         side = EPS_TRUNC / 2
         upper, lower = poisson.sf(hi, mu), poisson.cdf(lo - 1, mu)
         assert upper <= side and lower <= side
-        assert missing == upper + lower
-        assert np.array_equal(weights, poisson.pmf(n, mu))
+        assert missing == pytest.approx(upper + lower, rel=1e-9, abs=0.0)
+        if mu > 0.0:
+            # the window's weights round no worse than scipy.stats' pmf
+            reference = mpmath_pmf(lo, hi, mu)
+            assert_pmf_rounding(n, weights, mu, reference)
+            assert_pmf_rounding(n, poisson.pmf(n, mu), mu, reference)
+        else:
+            assert weights.tolist() == [1.0]
         # each end at most one index beyond the shortest window: moved in by
         # two indices, either end leaves out more than its side's bound
         assert poisson.sf(hi - 2, mu) > side and poisson.cdf(lo + 1, mu) > side
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # a fresh interpreter, since the test modules import scipy.stats themselves
+# Run in a fresh interpreter, since the test modules import scipy themselves:
+# every command, and a one-qubit budget that falls back to the exact windows.
+RUNTIME_PATH = """
+import json, math, sys
+from dataclasses import replace
+from eitgate import OptimizationConstraints, base_params, cli, design_point, optimal_detuning
+from eitgate.coherent_gate import _one_qubit_budget, _quadrature_budget
+out, one_qubit = sys.argv[1], sys.argv[2]
+for argv in (["eval"], ["check-oracle"],
+             ["design", "--delta", "0.2", "--suppression", "1"],
+             ["design", "--delta", "0.2", "--suppression", "1e-3"],
+             ["design", "--gamma10", "1e-6", "--config", one_qubit]):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+p = base_params(OptimizationConstraints(), 1e-5)
+nu_c = optimal_detuning(replace(p, omega_b_tilde=5.0, omega_c_tilde=50.0))
+design = design_point(p, nu_c, 5.0, math.pi, alpha_c=50.0)
+assert _quadrature_budget(replace(p, nu_c=nu_c), design.time_norm, 25.0, 2500.0) is None
+_one_qubit_budget(p, design)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(eitgate.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, eitgate; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    one_qubit = tmp_path / "one_qubit.json"
+    one_qubit.write_text('{"constraints": {"mode": "one-qubit"}}')
+    result = subprocess.run([sys.executable, "-W", "ignore", "-c", RUNTIME_PATH,
+                             str(tmp_path / "out.txt"), str(one_qubit)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestKerrPhaseState:
@@ -360,14 +425,27 @@ class TestGaussCharlier:
                         getattr(exact, field), rel=0, abs=4 * EPS_TRUNC)
 
     def test_rule_integrates_poisson_moments(self):
-        # an m-point Gauss rule is exact for polynomials of degree < 2m
-        mu = 196.0
-        nodes, weights = _gauss_charlier(mu, 8)
-        n = np.arange(0, 600)
-        pmf = poisson.pmf(n, mu)
-        for degree in range(16):
-            exact = math.fsum(pmf * (n / mu) ** degree)
-            assert math.fsum(weights * (nodes / mu) ** degree) == pytest.approx(exact, rel=1e-10)
+        # an m-point Gauss rule is exact for polynomials of degree < 2m:
+        # E[n^j] = sum_i S(j, i) mu^i (Touchard), S the Stirling numbers of
+        # the second kind, exact in integers at an integer mu
+        mu, m = 400, 8
+        nodes, weights = _gauss_charlier(float(mu), m)
+        stirling = [1]      # S(j, i) for i = 0 .. j
+        for j in range(2 * m):
+            exact = sum(s * mu ** i for i, s in enumerate(stirling))
+            assert math.fsum(weights * nodes ** j) == pytest.approx(exact, rel=1e-14)
+            stirling = [0] + [i * (stirling[i] if i <= j else 0) + stirling[i - 1]
+                              for i in range(1, j + 2)]
+
+    @pytest.mark.parametrize("mu", [25.0, 196.0, 1e4])
+    @pytest.mark.parametrize("m", GAUSS_ORDERS)
+    def test_rule_matches_eigh_tridiagonal(self, mu, m):
+        # numpy's dense eigh on the Jacobi matrix against scipy's tridiagonal solver
+        k = np.arange(m, dtype=float)
+        nodes, vectors = eigh_tridiagonal(k + mu, np.sqrt(k[1:] * mu))
+        got_nodes, got_weights = _gauss_charlier(mu, m)
+        np.testing.assert_allclose(got_nodes, nodes, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got_weights, vectors[0] ** 2, rtol=1e-13, atol=0)
 
     def test_negative_node_falls_back(self, monkeypatch):
         p = params(gamma_10=1e-5)

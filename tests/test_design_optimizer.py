@@ -86,6 +86,18 @@ def _count_delta_calls(monkeypatch):
     return calls
 
 
+def _assert_brent_is_scipys(f, lo, hi, xatol):
+    """_golden_min evaluates f at the points minimize_scalar(method="bounded")
+    evaluates on ln x, in the same order, and returns its x and f(x), bit for bit."""
+    ours, scipys = [], []
+    x, fx = design_optimizer._golden_min(lambda x: ours.append(x) or f(x), lo, hi, xatol)
+    result = minimize_scalar(lambda t: scipys.append(math.exp(t)) or f(math.exp(t)),
+                             bounds=(math.log(lo), math.log(hi)), method="bounded",
+                             options={"xatol": xatol})
+    assert ours == scipys and len(ours) == result.nfev
+    assert x == math.exp(result.x) and fx == result.fun
+
+
 class TestOptimizeDesign:
     def test_forward_reference_point(self):
         cs = OptimizationConstraints(suppression=1.0)
@@ -396,6 +408,27 @@ class TestNuSearch:
         assert abs(math.log(nu / 2.0)) <= 4.4e-5
         assert value == f(nu)
         assert len(evals) < 26    # the golden section's fixed count
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+           width=st.floats(1e-3, 10.0),
+           xatol=st.floats(math.log(1e-9), math.log(0.1)).map(math.exp),
+           centre=st.floats(-10.0, 10.0), power=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    def test_brent_is_scipys(self, lo, width, xatol, centre, power):
+        _assert_brent_is_scipys(
+            lambda x: abs(math.log(x) - centre) ** power + 0.1 * math.sin(3.0 * x),
+            lo, lo * math.exp(width), xatol)
+
+    def test_brent_is_scipys_on_the_alpha_b_search(self):
+        # the first fig2 design's search: its objective and first bracket
+        cs = OptimizationConstraints(suppression=1.0)
+        gamma = 1.2638180982913590e-08
+        p = base_params(cs, gamma)
+        seed = design_optimizer._seed_alpha_b(gamma, cs)
+        _assert_brent_is_scipys(lambda alpha: design_optimizer._two_qubit_min_nu(p, alpha, cs)[1],
+                                seed / design_optimizer._ALPHA_SEED,
+                                seed * design_optimizer._ALPHA_SEED,
+                                design_optimizer._ALPHA_XATOL)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_brent_monotone_goes_to_bracket_end(self, sign):
