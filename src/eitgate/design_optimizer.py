@@ -6,14 +6,14 @@ for a target error, and tabulates trade-off curves over a grid.  All searches
 are deterministic: Brent's bounded method on ln alpha_b, bracketed around the
 strong-drive closed-form optimum (`_seed_alpha_b`), with nu_c at each point
 the closed-form optimum `optimal_detuning` of the mean Fock component.  The
-inversion and the one-qubit amplitude search bisect fixed lattices
-(`_last_true`) from brackets around closed-form estimates, which they
-validate and widen.
+inversion and the one-qubit amplitude search walk fixed lattices by
+safeguarded secant steps (`_last_true`) from closed-form estimates, and
+return the point a bisection of the whole lattice returns.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -28,9 +28,7 @@ from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
 
 _STEPS = 2 ** 14  # geometric steps of every lattice
 _GAMMA_SPAN = (1e-14, 1e-1)   # the lattice of max_dephasing
-_GAMMA_SEED = 1.05  # the inversion's first bracket: the seed's gamma_10 times this^+-1
 _MIN_ALPHA_SPAN = (0.5, 400.0)   # the lattice of min_alpha_b
-_MIN_ALPHA_SEED = 1.01  # min_alpha_b's first bracket: its estimate times this^+-1
 _CERT_SLACK = 1e-4
 _ALPHA_SEED = 1.25  # the alpha_b bracket: the seed's alpha_b times this^+-1, widened by it
 _ALPHA_XATOL = 1e-3  # on ln alpha_b
@@ -402,22 +400,24 @@ def min_alpha_b(params: SystemParams, phi: float, delta_target: float, nu_c: flo
     The detuning is held at nu_c; alpha_c tracks alpha_b at the given ratio.
     The lattice is alpha_j = 0.5 * 800^(j / _STEPS), spanning
     _MIN_ALPHA_SPAN = [0.5, 400], and the spread error must fall as alpha_b
-    grows.  `_last_true` starts from _MIN_ALPHA_SEED^+-1 around the
-    estimate spread ~ phi^2 (1/alpha_b^2 + 1/alpha_c^2).  The returned pair
-    is the one the search evaluated at its result.
+    grows.  `_last_true` starts at the estimate spread ~ phi^2 (1/alpha_b^2
+    + 1/alpha_c^2) and steps on ln target - ln spread, whose slope there is
+    2 per unit ln alpha_b.  The returned pair is the one the search
+    evaluated at its result.
     """
     if not 0.0 < delta_target < 1.0:
         raise InvalidInput(f"delta_target must be in (0, 1), got {delta_target}")
     evaluated = {}
 
-    def misses(j: int) -> bool:
+    def misses(j: int) -> tuple[bool, float]:
         alpha = _lattice(j, _MIN_ALPHA_SPAN)
         design = design_point(params, nu_c, alpha, phi, alpha_c=alpha * alpha_c_ratio)
         evaluated[j] = design, _one_qubit_budget(params, design)
-        return evaluated[j][1].delta_coherent_spread > delta_target
+        spread = evaluated[j][1].delta_coherent_spread
+        return spread > delta_target, -_log_gap(spread, delta_target)
 
     guess = phi * math.sqrt((1.0 + alpha_c_ratio ** -2) / delta_target)
-    j = _last_true(misses, *_bracket(guess, _MIN_ALPHA_SEED, _MIN_ALPHA_SPAN)) + 1
+    j = _last_true(misses, _MIN_ALPHA_SPAN, guess, slope=2.0) + 1
     if j > _STEPS:
         raise NotAttainable(f"spread error still above {delta_target} at alpha_b = "
                             f"{_MIN_ALPHA_SPAN[1]}")
@@ -431,37 +431,53 @@ def _lattice(k: int, span=_GAMMA_SPAN) -> float:
     return span[0] ** (1.0 - t) * span[1] ** t
 
 
-def _bracket(guess: float, factor: float, span) -> tuple[int, int]:
-    """Lattice indices of guess / factor and guess * factor, clipped to span."""
-    step = math.log(span[1] / span[0]) / _STEPS
-    k = min(_STEPS, max(0.0, math.log(guess / span[0]) / step))
-    reach = math.log(factor) / step
-    return max(0, math.floor(k - reach)), min(_STEPS, math.ceil(k + reach))
+def _log_gap(value: float, target: float) -> float:
+    """ln(value / target) where both are positive and finite, else nan."""
+    if 0.0 < value < math.inf and 0.0 < target < math.inf:
+        return math.log(value) - math.log(target)
+    return math.nan
 
 
-def _last_true(holds, lo: int, hi: int) -> int:
-    """Largest lattice index k in 0 .. _STEPS with holds(k); -1 if none.
+def _last_true(evaluate, span, guess: float, slope: float) -> int:
+    """Largest lattice index k in 0 .. _STEPS where evaluate(k)[0] holds; -1 if none.
 
-    holds must be true up to some index and false beyond it.  The search
-    starts from the bracket lo <= hi.  While lo fails, the bracket steps
-    down past it, and while hi holds, up past it, each step twice the last
-    (the first as wide as the bracket, at least 1); then it bisects.  holds
-    is evaluated at most once per index.  The top is returned when it holds.
+    evaluate(k) is (holds, g): holds is true up to some index and false
+    beyond it; g, about linear in ln x on the lattice of span, only picks
+    the next index floor(k - g / s), s the secant slope of the last two
+    points (at the first, the given slope per unit ln x; that point is the
+    one nearest guess, or the centre).  Every step lands strictly inside
+    the bracket of indices known to hold and to fail (-1 and _STEPS + 1
+    until known), so no index is evaluated twice.  Where the secant gives no
+    finite index, the search steps outward, each step twice the last, or
+    bisects a bracket; from the third step on, a step that does not halve
+    the bracket is followed by a bisection: at most 2 log2(_STEPS) + 2
+    evaluations.
     """
-    holds = functools.cache(holds)
-    width = max(1, hi - lo)
-    while not holds(lo):
-        if lo == 0:
-            return -1
-        lo, hi, width = max(0, lo - width), lo, 2 * width
-    while holds(hi):
-        if hi == _STEPS:
-            return _STEPS
-        lo, hi, width = hi, min(_STEPS, hi + width), 2 * width
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
-    return lo
+    dx = math.log(span[1] / span[0]) / _STEPS
+    k, slope = _STEPS // 2, slope * dx
+    if 0.0 < guess < math.inf:
+        k = round(min(_STEPS, max(0.0, math.log(guess / span[0]) / dx)))
+    lo, hi, last = -1, _STEPS + 1, None
+    for count in itertools.count(1):
+        holds, g = evaluate(k)
+        width = hi - lo
+        lo, hi = (k, hi) if holds else (lo, k)
+        if hi - lo == 1:
+            return lo
+        reach = 1
+        if last is not None:
+            slope = (g - last[1]) / (k - last[0])
+            reach = 2 * abs(k - last[0])
+        last = k, g
+        aim = k - g / slope if 0.0 < slope < math.inf else math.nan
+        if (count > 3 and 2 * (hi - lo) > width + 1
+                or not math.isfinite(aim) and 0 <= lo < hi <= _STEPS):
+            k = (lo + hi) // 2
+        elif math.isfinite(aim):
+            k = math.floor(aim)
+        else:
+            k = lo + reach if hi > _STEPS else hi - reach
+        k = min(hi - 1, max(lo + 1, k))
 
 
 def max_dephasing(delta_target: float, constraints: OptimizationConstraints
@@ -471,12 +487,13 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     The lattice is gamma_k = 1e-14 (1e13)^(k / _STEPS), spanning
     _GAMMA_SPAN = [1e-14, 1e-1]; the result is its largest point whose
     optimized error is at most delta_target, provided that error is monotone
-    nondecreasing in the dephasing.  `_last_true` searches k: in two-qubit
-    mode from _GAMMA_SEED^+-1 around the strong-drive closed form's inverse
-    (`_seed_gamma_10`), each point checked by a full search; where that seed
-    fails, and in one-qubit mode (on the decoherence floor), from the whole
-    lattice.  Returns (gamma_10, design, budget); a two-qubit design is the
-    search run there, and its delta_total is at most delta_target.
+    nondecreasing in the dephasing.  `_last_true` steps on ln(-ln(1 - delta)),
+    of slope about 1/2 per unit ln gamma_10: in two-qubit mode from the
+    strong-drive closed form's inverse (`_seed_gamma_10`), each point a full
+    search; where that seed fails, and in one-qubit mode (on the decoherence
+    floor), from the lattice's centre.  Returns (gamma_10, design, budget); a
+    two-qubit design is the search run there, and its delta_total is at most
+    delta_target.
 
     Raises
     ------
@@ -490,22 +507,23 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     _check_design_value("delta_target", delta_target)
     searches = {}
 
-    def meets(k: int) -> bool:
+    def meets(k: int) -> tuple[bool, float]:
         gamma = _lattice(k)
         if constraints.mode == ONE_QUBIT:
-            return _one_qubit_dec_limit(gamma, constraints)[1] <= delta_target
-        searches[k] = _two_qubit_optimize(gamma, constraints)
-        return searches[k][2].delta_total <= delta_target
+            delta = _one_qubit_dec_limit(gamma, constraints)[1]
+        else:
+            searches[k] = _two_qubit_optimize(gamma, constraints)
+            delta = searches[k][2].delta_total
+        exponent = -math.log1p(-delta) if delta < 1.0 else math.inf
+        return delta <= delta_target, _log_gap(exponent, -math.log1p(-delta_target))
 
-    lo, hi = 0, _STEPS
+    guess = math.nan
     if constraints.mode == TWO_QUBIT:
         try:
             guess = _seed_gamma_10(delta_target, constraints)
         except ArithmeticError:
-            guess = math.nan
-        if 0.0 < guess < math.inf:
-            lo, hi = _bracket(guess, _GAMMA_SEED, _GAMMA_SPAN)
-    k = _last_true(meets, lo, hi)
+            pass
+    k = _last_true(meets, _GAMMA_SPAN, guess, slope=0.5)
     if k < 0:
         raise NotAttainable(f"error floor at gamma_10 = {_GAMMA_SPAN[0]} already "
                             f"exceeds {delta_target}")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from eitgate import (DegenerateDenominator, ErrorBudget, GateModelError,
                      asymptotic_design, base_params, design_point, max_dephasing, optimal_detuning,
                      optimize_design, sweep, tau_eff_at_optimum, w10)
 from eitgate import coherent_gate, design_optimizer
-from eitgate.coherent_gate import _two_qubit_budget, _two_qubit_delta
+from eitgate.coherent_gate import _one_qubit_budget, _two_qubit_budget, _two_qubit_delta
 
 PI = math.pi
 REFERENCE = Path(__file__).resolve().parents[1] / "reference"
@@ -170,15 +171,14 @@ class TestOptimizeDesign:
 
     @pytest.mark.parametrize("gamma", [1e-6, 1e-4])
     def test_one_qubit_search_cost(self, monkeypatch, gamma):
-        # min_alpha_b from its +-1% bracket: 8 budgets measured at both
-        # points, bound with a margin of 2; its grow, shrink and bisect
-        # loops took 13 and 11
+        # min_alpha_b's secant search from its estimate: 3 budgets measured
+        # at both points, bound with a margin of 1
         calls = []
         budget = design_optimizer._one_qubit_budget
         monkeypatch.setattr(design_optimizer, "_one_qubit_budget",
                             lambda *args: calls.append(args) or budget(*args))
         optimize_design(gamma, OptimizationConstraints(mode="one-qubit"))
-        assert len(calls) <= 10
+        assert len(calls) <= 4
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_no_worse_than_the_tenth_grid(self, suppression):
@@ -301,26 +301,70 @@ class TestGaussianModel:
 
 
 class TestLatticeSearch:
-    """_last_true, the bracket-and-bisect behind both inversions, against a scan."""
+    """_last_true, the safeguarded secant search behind both inversions,
+    against a scan."""
 
     STEPS = design_optimizer._STEPS
-    INDEX = st.integers(0, STEPS)
+    SPAN = design_optimizer._GAMMA_SPAN
+
+    @staticmethod
+    def adversarial(last, seed, run, nan_share):
+        """g of the predicate's sign only: magnitudes from 0 to 1e300, the
+        same over runs of `run` indices, and nan at a share of the runs."""
+        def g(k):
+            rng = random.Random(f"{seed}:{k // run}")
+            if rng.random() < nan_share:
+                return math.nan
+            size = rng.choice([0.0, 10.0 ** rng.uniform(-300.0, 300.0)])
+            return size if k > last else -size
+        return g
 
     @settings(max_examples=300, deadline=None)
     @given(last=st.one_of(st.sampled_from([-1, 0, STEPS - 1, STEPS]),
                           st.integers(-1, STEPS)),
-           ends=st.one_of(st.tuples(INDEX, INDEX), INDEX.map(lambda k: (k, k))))
-    def test_matches_a_scan(self, last, ends):
-        # any threshold, from any bracket: misplaced on either side, the
-        # whole lattice, or a single point
-        lo, hi = sorted(ends)
+           start=st.one_of(st.sampled_from([None, 0, STEPS]), st.integers(0, STEPS)),
+           near=st.integers(-64, 64),
+           slope=st.floats(1e-3, 1e3),
+           linear=st.one_of(st.none(), st.floats(1e-6, 1e2)),
+           seed=st.integers(0, 2 ** 32), run=st.sampled_from([1, 7, 1000, 2 * STEPS]),
+           nan_share=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_matches_a_scan(self, last, start, near, slope, linear, seed, run, nan_share):
+        # any threshold, from any start (the centre where the guess fails,
+        # misplaced on either side, or within 64 steps of the threshold),
+        # with g linear through the threshold at any slope per step, or of
+        # the right sign alone; the first slope anywhere from 1e-3 to 1e3
+        if start is not None and seed % 2:
+            start = min(self.STEPS, max(0, last + near))
+        if linear is None:
+            g = self.adversarial(last, seed, run, nan_share)
+        else:
+            def g(k):
+                return linear * (k - last - 0.5)
+        guess = math.nan if start is None else design_optimizer._lattice(start, self.SPAN)
         seen = []
-        found = design_optimizer._last_true(lambda k: seen.append(k) or k <= last, lo, hi)
+        found = design_optimizer._last_true(
+            lambda k: seen.append(k) or (k <= last, g(k)), self.SPAN, guess, slope)
         assert found == max((k for k in range(self.STEPS + 1) if k <= last), default=-1)
         assert len(seen) == len(set(seen))
         assert all(0 <= k <= self.STEPS for k in seen)
-        # outward steps double and bisection halves: 28 measured at worst
+        assert seen[0] == (self.STEPS // 2 if start is None else start)
+        # a bisection follows every step from the third on that does not
+        # halve the bracket
         assert len(seen) <= 2 * math.log2(self.STEPS) + 2
+        # on a linear g the first secant through two points lands on the
+        # threshold
+        if linear is not None and abs(seen[0] - last) <= 64:
+            assert len(seen) <= 4
+
+    @pytest.mark.parametrize("guess, first", [
+        (1e-300, 0), (1e300, STEPS), (math.inf, STEPS // 2), (0.0, STEPS // 2),
+        (-1.0, STEPS // 2), (math.nan, STEPS // 2)])
+    def test_start(self, guess, first):
+        # the lattice point nearest the guess, or the centre without one
+        seen = []
+        design_optimizer._last_true(lambda k: seen.append(k) or (k <= 5, math.nan),
+                                    self.SPAN, guess, 0.5)
+        assert seen[0] == first
 
     def test_lattice_ends_are_exact(self):
         for span in (design_optimizer._GAMMA_SPAN, design_optimizer._MIN_ALPHA_SPAN):
@@ -502,11 +546,11 @@ class TestMaxDephasing:
         assert len(windows) == len(alphas)
         assert len(alphas) <= coherent_gate._window.cache_info().maxsize
         assert budget.delta_total <= 0.2 * 1.01
-        # two bracket ends and one search per bisection step inside the
-        # seed's +-5% bracket: 8 measured here and at most 8 over targets
-        # 0.05 to 0.3 at both suppressions (16 over the whole lattice), bound
-        # with a margin of 2; the search at the final gamma_10 is reused
-        assert len(searches) <= 10
+        # the seed's point, then secant steps to the threshold and its
+        # neighbour: 4 measured here and at most 4 over targets 0.05 to 0.3
+        # at both suppressions, bound with a margin of 1; the search at the
+        # final gamma_10 is reused
+        assert len(searches) <= 5
         assert searches.count(gamma) == 1
         # the windows outlive the call: an identical call builds none
         windows.clear()
@@ -539,18 +583,16 @@ class TestMaxDephasing:
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_inversion_cost(self, monkeypatch, suppression):
-        # measured: 8 and 8 searches, 60 and 52 delta calls (bound with a
-        # margin of 4); the Gaussian model's seed made 53 and 52, a nested
-        # Brent search over nu_c 369 and 404 calls, and the plain bisection
-        # 16 searches and 1,343 and 1,229
+        # measured: 4 and 3 searches, 32 and 22 delta calls, bound with a
+        # margin of one search
         searches = []
         search = design_optimizer._two_qubit_optimize
         monkeypatch.setattr(design_optimizer, "_two_qubit_optimize",
                             lambda *args: searches.append(args) or search(*args))
         calls = _count_delta_calls(monkeypatch)
         max_dephasing(0.2, OptimizationConstraints(suppression=suppression))
-        assert len(searches) <= 10
-        assert len(calls) <= 64
+        assert len(searches) <= 5
+        assert len(calls) <= 40
 
     def test_not_attainable(self):
         cs = OptimizationConstraints(alpha_b_range=(1.0, 10.0))
@@ -590,6 +632,45 @@ class TestMaxDephasing:
     def test_invalid_target(self):
         with pytest.raises(InvalidInput):
             max_dephasing(0.7, OptimizationConstraints())
+
+
+def _bisected(holds) -> int:
+    """Largest lattice index where holds, -1 if none, by a plain bisection of
+    the whole lattice: the reference both inversions must agree with."""
+    lo, hi = -1, design_optimizer._STEPS + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+class TestMatchesTheBisection:
+    """Both inversions return the lattice point the plain bisection returns."""
+
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    def test_max_dephasing(self, suppression):
+        cs = OptimizationConstraints(suppression=suppression)
+        for target in (0.05, 0.198, 0.2, 0.202, 0.3):
+            k = _bisected(lambda k: design_optimizer._two_qubit_optimize(
+                design_optimizer._lattice(k), cs)[2].delta_total <= target)
+            assert max_dephasing(target, cs)[0] == design_optimizer._lattice(k)
+
+    def test_min_alpha_b(self):
+        # at forward-1q's ten dephasings of seed 0, 10^(-6 ... -5.98)
+        cs = OptimizationConstraints(mode="one-qubit")
+        span = design_optimizer._MIN_ALPHA_SPAN
+        for i in range(10):
+            gamma = 10.0 ** (-6.0 + 0.002 * (i + 0.5))
+            p = base_params(cs, gamma)
+            nu, floor = design_optimizer._one_qubit_dec_limit(gamma, cs)
+
+            def misses(j):
+                alpha = design_optimizer._lattice(j, span)
+                design = design_point(p, nu, alpha, cs.phi, alpha_c=10.0 * alpha)
+                return _one_qubit_budget(p, design).delta_coherent_spread > floor
+
+            j = _bisected(misses) + 1
+            assert optimize_design(gamma, cs)[0].alpha_b == design_optimizer._lattice(j, span)
 
 
 class TestSweep:
