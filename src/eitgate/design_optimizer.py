@@ -3,12 +3,13 @@
 Finds the (nu_c, alpha_b) pair minimizing the total gate error at a given
 ground-state dephasing, inverts that map to the largest tolerable dephasing
 for a target error, and tabulates trade-off curves over a grid.  All searches
-are deterministic: Brent's bounded method on ln alpha_b, bracketed around the
-strong-drive closed-form optimum (`_seed_alpha_b`), with nu_c at each point
-the closed-form optimum `optimal_detuning` of the mean Fock component.  The
-inversion and the one-qubit amplitude search walk fixed lattices by
-safeguarded secant steps (`_last_true`) from closed-form estimates, and
-return the point a bisection of the whole lattice returns.
+are deterministic and share one engine: `_last_true` walks a fixed geometric
+lattice by safeguarded secant steps from a closed-form estimate, and returns
+the point a bisection of the whole lattice returns.  alpha_b is the lattice
+local minimum of the total error, found from the strong-drive closed-form
+optimum (`_seed_alpha_b`), with nu_c at each point the closed-form optimum
+`optimal_detuning` of the mean Fock component.  The inversion and the
+one-qubit amplitude search find the last lattice point that meets a target.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ _STEPS = 2 ** 14  # geometric steps of every lattice
 _GAMMA_SPAN = (1e-14, 1e-1)   # the lattice of max_dephasing
 _MIN_ALPHA_SPAN = (0.5, 400.0)   # the lattice of min_alpha_b
 _CERT_SLACK = 1e-4
-_ALPHA_SEED = 1.25  # the alpha_b bracket: the seed's alpha_b times this^+-1, widened by it
-_ALPHA_XATOL = 1e-3  # on ln alpha_b
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,12 @@ class SweepSpec:
 
 
 def _check_design_value(quantity: str, value: float) -> None:
-    """InvalidInput unless value is in range: a delta_target in (0, 0.5), a gamma_10 > 0."""
+    """InvalidInput unless value is in range: a delta_target in (0, 0.5), a
+    gamma_10 in (0, inf)."""
     if quantity == "delta_target" and not 0.0 < value < 0.5:
         raise InvalidInput(f"'delta_target' must be in (0, 0.5), got {value}")
-    if quantity == "gamma_10" and not value > 0.0:
-        raise InvalidInput(f"'gamma_10' must be > 0, got {value}")
+    if quantity == "gamma_10" and not 0.0 < value < math.inf:
+        raise InvalidInput(f"'gamma_10' must be finite and > 0, got {value}")
 
 
 def base_params(constraints: OptimizationConstraints, gamma_10: float) -> SystemParams:
@@ -132,95 +132,35 @@ def base_params(constraints: OptimizationConstraints, gamma_10: float) -> System
     )
 
 
-def _golden_min(f, lo: float, hi: float, xatol: float):
-    """(x, f(x)) minimizing f over [lo, hi] to within xatol on ln x, by
-    Brent's bounded method (Brent 1973, ch. 5).  The alpha_b search runs
-    through it.  The name is the golden section's it replaced, kept
-    because perfbench counts its evaluations as `design_optimizer.golden.evals`.
+def _golden_min(f, span, guess: float):
+    """(x, f(x)) at the local minimum of the gate error f on the lattice of
+    span: the point after the last index k where f falls to k + 1, or
+    span[0] if it never falls there.  The alpha_b search runs through it.
+    The name is the golden section's it replaced, kept because perfbench
+    counts its evaluations as `design_optimizer.golden.evals`.
+
+    `_last_true` starts at the point nearest guess (the centre without one)
+    and steps on the difference of ln(-ln(1 - f)) from k to k + 1, whose
+    slope per unit ln x at the minimum is 2 for the exponent 2 tau +
+    (phi / alpha_b)^2 of the strong-drive error model.  f is evaluated once
+    per point.
     """
-    # A line-for-line port of _minimize_scalar_bounded in scipy.optimize
-    # (scipy 1.17; Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
-    # Developers; BSD-3-Clause), without its option checks and messages.  It
-    # evaluates the same points in the same order, so x, f(x) and the number
-    # of evaluations equal those of minimize_scalar(method="bounded").
-    def func(t):
-        return f(math.exp(t))
+    values = {}
 
-    def sign(v):   # numpy's sign(v) + (v == 0)
-        return 1.0 if v >= 0.0 else -1.0
+    def at(k: int) -> float:
+        if k not in values:
+            values[k] = f(_lattice(k, span))
+        return values[k]
 
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = math.log(lo), math.log(hi)
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
+    dx = math.log(span[1] / span[0]) / _STEPS
 
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
+    def falls(k: int) -> tuple[bool, float]:
+        if k == _STEPS:
+            return False, math.nan
+        return at(k + 1) < at(k), _log_gap(_exponent(at(k + 1)), _exponent(at(k))) / dx
 
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * sign(xm - xf)
-            else:
-                golden = True
-
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-
-        x = xf + sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= 500:    # scipy's default maxiter
-            break
-
-    return math.exp(xf), fx
+    k = _last_true(falls, span, guess, slope=2.0) + 1
+    return _lattice(k, span), at(k)
 
 
 def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
@@ -277,46 +217,29 @@ def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints) ->
 
 
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
-    """Minimization of the total error over ln alpha_b, nu_c in closed form.
+    """Minimization of the total error over the lattice of alpha_b_range,
+    nu_c in closed form.
 
-    Brent's search on ln alpha_b starts from `_seed_alpha_b` times
-    _ALPHA_SEED^+-1, clipped to alpha_b_range (from the range's geometric
-    centre where the seed fails), and the bracket widens by that factor while
-    the optimum sits at an inner bracket end.  Every point is ranked by
+    `_golden_min` starts at `_seed_alpha_b` and ranks every point by
     _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu); the full
-    design and budget are built once, at the result.
+    design and budget are built once, at the result.  The result is at the
+    edge exactly when it is an end of alpha_b_range.
     """
     params = base_params(constraints, gamma_10)
-    low, high = constraints.alpha_b_range
     try:
         seed = _seed_alpha_b(gamma_10, constraints)
     except ArithmeticError:
         seed = math.nan
-    if not math.isfinite(seed):
-        seed = math.sqrt(low * high)
-    seed = min(high, max(low, seed))
-
     found = {}   # alpha_b -> (nu_c, delta_total)
 
     def at_min_nu(alpha):
         found[alpha] = _two_qubit_min_nu(params, alpha, constraints)
         return found[alpha][1]
 
-    lo, hi = max(low, seed / _ALPHA_SEED), min(high, seed * _ALPHA_SEED)
-    while True:
-        alpha, _ = _golden_min(at_min_nu, lo, hi, xatol=_ALPHA_XATOL)
-        # Brent stops within _ALPHA_XATOL of a bracket end it runs into
-        at_lo = math.log(alpha / lo) <= 2 * _ALPHA_XATOL
-        at_hi = math.log(hi / alpha) <= 2 * _ALPHA_XATOL
-        at_edge = (at_lo and lo == low) or (at_hi and hi == high)
-        if at_edge or not (at_lo or at_hi):
-            break
-        lo, hi = ((max(low, lo / _ALPHA_SEED), hi) if at_lo
-                  else (lo, min(high, hi * _ALPHA_SEED)))
-
+    alpha, _ = _golden_min(at_min_nu, constraints.alpha_b_range, seed)
     design = design_point(params, found[alpha][0], alpha, constraints.phi)
     budget = _two_qubit_budget(params, design)
-    return params, design, budget, at_edge
+    return params, design, budget, alpha in constraints.alpha_b_range
 
 
 def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
@@ -363,13 +286,14 @@ def optimize_design(gamma_10: float,
                     constraints: OptimizationConstraints) -> tuple[GateDesign, ErrorBudget]:
     """Design minimizing the total gate error at the given dephasing.
 
-    Two-qubit mode runs Brent's bounded minimization over ln alpha_b (to
-    within _ALPHA_XATOL) around the strong-drive closed-form optimum
-    (`_seed_alpha_b`), with nu_c at each point the closed-form optimum
-    `optimal_detuning` of the mean Fock component, and certifies the result
-    against +/-5% perturbations on both axes.  One-qubit mode puts nu_c at
-    the closed-form minimizer of the decoherence floor and reports the
-    smallest alpha_b whose spread error stays below that floor.
+    Two-qubit mode finds the local minimum over the lattice of alpha_b_range
+    (`_golden_min`; 3.1e-4 apart in ln alpha_b over the default range) from
+    the strong-drive closed-form optimum (`_seed_alpha_b`), with nu_c at
+    each point the closed-form optimum `optimal_detuning` of the mean Fock
+    component, and certifies the result against +/-5% perturbations on both
+    axes.  One-qubit mode puts nu_c at the closed-form minimizer of the
+    decoherence floor and reports the smallest alpha_b whose spread error
+    stays below that floor.
 
     Raises
     ------
@@ -431,6 +355,11 @@ def _lattice(k: int, span=_GAMMA_SPAN) -> float:
     return span[0] ** (1.0 - t) * span[1] ** t
 
 
+def _exponent(delta: float) -> float:
+    """-ln(1 - delta), the error exponent of a gate error delta < 1; inf above."""
+    return -math.log1p(-delta) if delta < 1.0 else math.inf
+
+
 def _log_gap(value: float, target: float) -> float:
     """ln(value / target) where both are positive and finite, else nan."""
     if 0.0 < value < math.inf and 0.0 < target < math.inf:
@@ -451,7 +380,9 @@ def _last_true(evaluate, span, guess: float, slope: float) -> int:
     finite index, the search steps outward, each step twice the last, or
     bisects a bracket; from the third step on, a step that does not halve
     the bracket is followed by a bisection: at most 2 log2(_STEPS) + 2
-    evaluations.
+    evaluations.  In the alpha_b search (`_golden_min`) an evaluation
+    compares the objective at k and k + 1, so it costs up to two objective
+    calls; neighbouring evaluations share one.
     """
     dx = math.log(span[1] / span[0]) / _STEPS
     k, slope = _STEPS // 2, slope * dx
@@ -514,8 +445,7 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
         else:
             searches[k] = _two_qubit_optimize(gamma, constraints)
             delta = searches[k][2].delta_total
-        exponent = -math.log1p(-delta) if delta < 1.0 else math.inf
-        return delta <= delta_target, _log_gap(exponent, -math.log1p(-delta_target))
+        return delta <= delta_target, _log_gap(_exponent(delta), _exponent(delta_target))
 
     guess = math.nan
     if constraints.mode == TWO_QUBIT:

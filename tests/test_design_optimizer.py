@@ -87,16 +87,18 @@ def _count_delta_calls(monkeypatch):
     return calls
 
 
-def _assert_brent_is_scipys(f, lo, hi, xatol):
-    """_golden_min evaluates f at the points minimize_scalar(method="bounded")
-    evaluates on ln x, in the same order, and returns its x and f(x), bit for bit."""
-    ours, scipys = [], []
-    x, fx = design_optimizer._golden_min(lambda x: ours.append(x) or f(x), lo, hi, xatol)
-    result = minimize_scalar(lambda t: scipys.append(math.exp(t)) or f(math.exp(t)),
-                             bounds=(math.log(lo), math.log(hi)), method="bounded",
-                             options={"xatol": xatol})
-    assert ours == scipys and len(ours) == result.nfev
-    assert x == math.exp(result.x) and fx == result.fun
+def _lattice_minimum(f, x, span) -> int:
+    """The lattice index of x, asserting that x is a point of the lattice of
+    span and that f there is below the point before and no higher than the
+    point after (where they exist)."""
+    steps = design_optimizer._STEPS
+    k = round(math.log(x / span[0]) / math.log(span[1] / span[0]) * steps)
+    assert design_optimizer._lattice(k, span) == x
+    if k > 0:
+        assert f(design_optimizer._lattice(k - 1, span)) > f(x)
+    if k < steps:
+        assert f(design_optimizer._lattice(k + 1, span)) >= f(x)
+    return k
 
 
 class TestOptimizeDesign:
@@ -138,10 +140,11 @@ class TestOptimizeDesign:
             optimize_design(0.0, OptimizationConstraints())
 
     def test_search_cost(self, monkeypatch):
-        # Brent on ln alpha_b from the seed's bracket, nu_c in closed form,
-        # and the certificate: 11 calls measured, bound with a margin of 3;
-        # a nested Brent search over nu_c took 58, a 24-point scan seed 75
-        # and an integer-then-0.1 grid about 350
+        # the lattice search over alpha_b from the seed, nu_c in closed form,
+        # and the certificate: 11 calls measured (7 in the search), bound
+        # with a margin of 3; Brent's bounded method took 11 as well, a
+        # nested Brent search over nu_c 58, a 24-point scan seed 75 and an
+        # integer-then-0.1 grid about 350
         calls = _count_delta_calls(monkeypatch)
         optimize_design(1e-6, OptimizationConstraints())
         assert len(calls) <= 14
@@ -150,10 +153,10 @@ class TestOptimizeDesign:
     def test_one_brent_search_per_search(self, monkeypatch, suppression):
         # the seeds are closed forms: every two-qubit search, forward or
         # inside the inversion, runs the alpha_b search alone; a numerical
-        # model seed ran its own Brent search beside it, and a root search
-        # on top of that
-        calls = {"searches": 0, "brent": 0}
-        search, brent = design_optimizer._two_qubit_optimize, design_optimizer._golden_min
+        # model seed ran its own search beside it, and a root search on top
+        # of that
+        calls = {"searches": 0, "alpha_b": 0}
+        search, alpha_b = design_optimizer._two_qubit_optimize, design_optimizer._golden_min
 
         def counted(name, f):
             def wrapped(*args, **kwargs):
@@ -162,12 +165,12 @@ class TestOptimizeDesign:
             return wrapped
 
         monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", counted("searches", search))
-        monkeypatch.setattr(design_optimizer, "_golden_min", counted("brent", brent))
+        monkeypatch.setattr(design_optimizer, "_golden_min", counted("alpha_b", alpha_b))
         cs = OptimizationConstraints(suppression=suppression)
         optimize_design(1e-6, cs)
-        assert calls == {"searches": 1, "brent": 1}
+        assert calls == {"searches": 1, "alpha_b": 1}
         max_dephasing(0.2, cs)
-        assert calls["brent"] == calls["searches"] > 1
+        assert calls["alpha_b"] == calls["searches"] > 1
 
     @pytest.mark.parametrize("gamma", [1e-6, 1e-4])
     def test_one_qubit_search_cost(self, monkeypatch, gamma):
@@ -202,20 +205,28 @@ class TestOptimizeDesign:
         lambda gamma, cs: math.nan,
         _no_seed,
     ], ids=["model", "nan", "raises"])
-    @pytest.mark.parametrize("target, edge", [(30.0, False), (200.0, True)])
+    @pytest.mark.parametrize("target, edge", [(30.0, False), (200.0, True), (0.5, True)])
     def test_bracket_widens_from_the_seed(self, monkeypatch, seed, target, edge):
-        # the bracket starts at the seed's alpha_b 10, or at the range's
-        # geometric centre 12.2 where the seed fails, times 1.25^+-1; the
-        # objective's minimum lies at target, several factors away: the
-        # bracket widens until it holds the minimum, or reports the edge
+        # the search starts at the seed's alpha_b 10, or at the range's
+        # geometric centre 12.2 where the seed fails; the objective's
+        # minimum lies at target, several factors away or beyond an end of
+        # the range: the search reaches the lattice minimum, or reports the
+        # edge with the range's end itself
+        def error(alpha):
+            return -math.expm1(-math.log(alpha / target) ** 2)
+
         monkeypatch.setattr(design_optimizer, "_seed_alpha_b", seed)
         monkeypatch.setattr(design_optimizer, "_two_qubit_min_nu",
-                            lambda params, alpha, cs: (100.0, math.log(alpha / target) ** 2))
-        _, design, _, at_edge = design_optimizer._two_qubit_optimize(
-            1e-6, OptimizationConstraints())
+                            lambda params, alpha, cs: (100.0, error(alpha)))
+        cs = OptimizationConstraints()
+        _, design, _, at_edge = design_optimizer._two_qubit_optimize(1e-6, cs)
         assert at_edge is edge
-        end = min(target, 150.0)
-        assert abs(math.log(design.alpha_b / end)) <= 2 * design_optimizer._ALPHA_XATOL
+        _lattice_minimum(error, design.alpha_b, cs.alpha_b_range)
+        if edge:
+            assert design.alpha_b == (cs.alpha_b_range[0] if target < 1.0 else cs.alpha_b_range[1])
+        else:
+            step = math.log(150.0) / design_optimizer._STEPS
+            assert abs(math.log(design.alpha_b / target)) <= step
 
 
 def _seed_model_error(gamma, alpha, cs):
@@ -440,46 +451,27 @@ class TestNuSearch:
             assert got == pytest.approx(floor, rel=1e-14, abs=0.0)
 
     def test_brent_finds_smooth_minimum(self):
-        # e^x - 2x in x = ln nu: asymmetric, minimum at nu = 2, off the
-        # bracket's geometric centre
+        # an error whose exponent is e^x - 2x in x = ln nu: asymmetric,
+        # minimum at nu = 2, off the lattice's geometric centre
         evals = []
 
         def f(nu):
             evals.append(nu)
-            return nu - 2.0 * math.log(nu)
+            return -math.expm1(-(nu - 2.0 * math.log(nu)))
 
-        nu, value = design_optimizer._golden_min(f, 0.01, 50.0, xatol=4.4e-5)
-        assert abs(math.log(nu / 2.0)) <= 4.4e-5
+        span = (0.01, 50.0)
+        nu, value = design_optimizer._golden_min(f, span, math.nan)
+        # once per point, and at most two points per step of _last_true
+        assert len(evals) == len(set(evals)) <= 2 * (2 * math.log2(design_optimizer._STEPS) + 2)
+        assert abs(math.log(nu / 2.0)) <= math.log(span[1] / span[0]) / design_optimizer._STEPS
         assert value == f(nu)
-        assert len(evals) < 26    # the golden section's fixed count
-
-    @settings(max_examples=200, deadline=None)
-    @given(lo=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
-           width=st.floats(1e-3, 10.0),
-           xatol=st.floats(math.log(1e-9), math.log(0.1)).map(math.exp),
-           centre=st.floats(-10.0, 10.0), power=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
-    def test_brent_is_scipys(self, lo, width, xatol, centre, power):
-        _assert_brent_is_scipys(
-            lambda x: abs(math.log(x) - centre) ** power + 0.1 * math.sin(3.0 * x),
-            lo, lo * math.exp(width), xatol)
-
-    def test_brent_is_scipys_on_the_alpha_b_search(self):
-        # the first fig2 design's search: its objective and first bracket
-        cs = OptimizationConstraints(suppression=1.0)
-        gamma = 1.2638180982913590e-08
-        p = base_params(cs, gamma)
-        seed = design_optimizer._seed_alpha_b(gamma, cs)
-        _assert_brent_is_scipys(lambda alpha: design_optimizer._two_qubit_min_nu(p, alpha, cs)[1],
-                                seed / design_optimizer._ALPHA_SEED,
-                                seed * design_optimizer._ALPHA_SEED,
-                                design_optimizer._ALPHA_XATOL)
+        _lattice_minimum(f, nu, span)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_brent_monotone_goes_to_bracket_end(self, sign):
-        lo, hi = 1e-3, 1e3
-        nu, _ = design_optimizer._golden_min(lambda nu: sign * nu, lo, hi, xatol=4.4e-5)
-        end = lo if sign > 0 else hi
-        assert abs(math.log(nu / end)) <= 4.4e-5
+        span = (1e-3, 1e3)
+        nu, _ = design_optimizer._golden_min(lambda nu: sign * nu, span, 1.0)
+        assert nu == (span[0] if sign > 0 else span[1])
 
     @pytest.mark.parametrize("design", _reference_designs(), ids=lambda d: d["id"])
     def test_closed_form_nu_near_the_minimum(self, design):
@@ -583,7 +575,7 @@ class TestMaxDephasing:
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_inversion_cost(self, monkeypatch, suppression):
-        # measured: 4 and 3 searches, 32 and 22 delta calls, bound with a
+        # measured: 4 and 3 searches, 32 and 25 delta calls, bound with a
         # margin of one search
         searches = []
         search = design_optimizer._two_qubit_optimize
@@ -672,6 +664,30 @@ class TestMatchesTheBisection:
             j = _bisected(misses) + 1
             assert optimize_design(gamma, cs)[0].alpha_b == design_optimizer._lattice(j, span)
 
+    @pytest.mark.parametrize("design", [
+        *_reference_designs(),
+        {"gamma_10_over_omega_a": 1e-6, "suppression": 1.0, "alpha_b": None, "id": "1e-6"},
+    ], ids=lambda d: d["id"])
+    def test_alpha_b(self, design):
+        # the two-qubit alpha_b is the lattice point after the last one
+        # where the error falls to the next, and each committed design holds it
+        cs = OptimizationConstraints(suppression=design["suppression"])
+        gamma = design["gamma_10_over_omega_a"]
+        p = base_params(cs, gamma)
+        span, steps = cs.alpha_b_range, design_optimizer._STEPS
+
+        def f(alpha):
+            return design_optimizer._two_qubit_min_nu(p, alpha, cs)[1]
+
+        alpha = optimize_design(gamma, cs)[0].alpha_b
+        if design["alpha_b"] is not None:
+            assert alpha == design["alpha_b"]
+        k = _lattice_minimum(f, alpha, span)
+        assert 0 < k < steps
+        falls = lambda k: (k < steps and f(design_optimizer._lattice(k + 1, span))
+                           < f(design_optimizer._lattice(k, span)))
+        assert _bisected(falls) + 1 == k
+
 
 class TestSweep:
     def test_design_point_rows(self):
@@ -719,4 +735,13 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInput):
             SweepSpec(quantity="delta_target", values=())
+
+    @pytest.mark.parametrize("quantity, value", [
+        ("delta_target", 0.5), ("delta_target", math.nan), ("gamma_10", 0.0),
+        ("gamma_10", math.inf), ("gamma_10", math.nan),
+    ])
+    def test_out_of_range_grid_rejected(self, quantity, value):
+        # the grid fails as a whole before any point runs, not row by row
+        with pytest.raises(InvalidInput, match=quantity):
+            SweepSpec(quantity=quantity, values=(1e-6 if quantity == "gamma_10" else 0.2, value))
 
