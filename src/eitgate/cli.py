@@ -254,13 +254,10 @@ def cmd_design(config: RunConfig) -> dict:
     }
 
 
-def cmd_sweep(config: RunConfig) -> tuple[list, dict]:
-    """Run the configured sweep; returns (rows, summary)."""
+def cmd_sweep(config: RunConfig) -> list:
+    """Run the configured sweep over its constraint sets, or the top-level one."""
     sw = config.sweep
-    sets = list(sw.constraint_sets) or [config.constraints]
-    rows = sweep(sw, sets)
-    failures = sum(1 for r in rows if r.status != "ok")
-    return rows, {"rows": len(rows), "failures": failures}
+    return sweep(sw, list(sw.constraint_sets) or [config.constraints])
 
 
 def cmd_check_oracle(config: RunConfig) -> tuple[list[dict], bool]:
@@ -386,15 +383,15 @@ def main(argv=None) -> int:
         elif args.command == "design":
             result = cmd_design(config)
         elif args.command == "sweep":
-            rows, summary = cmd_sweep(config)
-            result = [dataclasses.asdict(row) for row in rows]
+            result = [dataclasses.asdict(row) for row in cmd_sweep(config)]
         else:
             result, ok = cmd_check_oracle(config)
         with (contextlib.nullcontext(sys.stdout) if config.out is None
               else open(config.out, "w", encoding="utf-8")) as fh:
             _write(result, config.format, fh)
         if args.command == "sweep":
-            print(f"rows={summary['rows']} failures={summary['failures']}",
+            failures = sum(row["status"] != "ok" for row in result)
+            print(f"rows={len(result)} failures={failures}",
                   file=sys.stderr if config.out is None else sys.stdout)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -217,49 +217,48 @@ def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints) ->
 
 
 def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
-    """Minimization of the total error over the lattice of alpha_b_range,
-    nu_c in closed form.
+    """(params, nu_c, alpha_b, delta_total): the local minimum of the total
+    error over the lattice of alpha_b_range, nu_c in closed form.
 
     `_golden_min` starts at `_seed_alpha_b` and ranks every point by
-    _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu); the full
-    design and budget are built once, at the result.  The result is at the
-    edge exactly when it is an end of alpha_b_range.
+    _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu).  The
+    result is a lattice point and the search's own error there; `_certified`
+    turns it into a design.
     """
     params = base_params(constraints, gamma_10)
     try:
         seed = _seed_alpha_b(gamma_10, constraints)
     except ArithmeticError:
         seed = math.nan
-    found = {}   # alpha_b -> (nu_c, delta_total)
+    found = {}   # alpha_b -> nu_c
 
     def at_min_nu(alpha):
-        found[alpha] = _two_qubit_min_nu(params, alpha, constraints)
-        return found[alpha][1]
+        found[alpha], delta = _two_qubit_min_nu(params, alpha, constraints)
+        return delta
 
-    alpha, _ = _golden_min(at_min_nu, constraints.alpha_b_range, seed)
-    design = design_point(params, found[alpha][0], alpha, constraints.phi)
-    budget = _two_qubit_budget(params, design)
-    return params, design, budget, alpha in constraints.alpha_b_range
+    alpha, delta = _golden_min(at_min_nu, constraints.alpha_b_range, seed)
+    return params, found[alpha], alpha, delta
 
 
-def _certified(params: SystemParams, design: GateDesign, budget: ErrorBudget,
-               at_edge: bool, constraints: OptimizationConstraints):
-    """(design, budget), once certified as an interior local minimum."""
-    if at_edge:
+def _certified(params: SystemParams, nu_c: float, alpha_b: float, delta_total: float,
+               constraints: OptimizationConstraints) -> tuple[GateDesign, ErrorBudget]:
+    """(design, budget) at a search result, once certified as an interior
+    local minimum: alpha_b is not an end of alpha_b_range, and no +/-5%
+    perturbation of either axis lowers delta_total by more than _CERT_SLACK.
+    The only place a two-qubit search result becomes a design."""
+    if alpha_b in constraints.alpha_b_range:
         raise NoConvergence(
-            f"optimal alpha_b = {design.alpha_b} sits at the edge of the search "
+            f"optimal alpha_b = {alpha_b} sits at the edge of the search "
             f"range {constraints.alpha_b_range}; enlarge the range")
-    value = budget.delta_total
-    for nu, alpha in ((design.nu_c * 1.05, design.alpha_b),
-                      (design.nu_c * 0.95, design.alpha_b),
-                      (design.nu_c, design.alpha_b * 1.05),
-                      (design.nu_c, design.alpha_b * 0.95)):
+    for nu, alpha in ((nu_c * 1.05, alpha_b), (nu_c * 0.95, alpha_b),
+                      (nu_c, alpha_b * 1.05), (nu_c, alpha_b * 0.95)):
         perturbed = _two_qubit_delta(params, nu, alpha, constraints.phi)
-        if perturbed < value - _CERT_SLACK:
+        if perturbed < delta_total - _CERT_SLACK:
             raise NoConvergence(
                 f"local-minimum certificate failed: delta {perturbed:.6f} "
-                f"< {value:.6f} - {_CERT_SLACK} at nu_c={nu:.6g}, alpha_b={alpha:.6g}")
-    return design, budget
+                f"< {delta_total:.6f} - {_CERT_SLACK} at nu_c={nu:.6g}, alpha_b={alpha:.6g}")
+    design = design_point(params, nu_c, alpha_b, constraints.phi)
+    return design, _two_qubit_budget(params, design)
 
 
 def _one_qubit_dec_limit(gamma_10: float, constraints: OptimizationConstraints):
@@ -379,16 +378,17 @@ def _last_true(evaluate, span, guess: float, slope: float) -> int:
     until known), so no index is evaluated twice.  Where the secant gives no
     finite index, the search steps outward, each step twice the last, or
     bisects a bracket; from the third step on, a step that does not halve
-    the bracket is followed by a bisection: at most 2 log2(_STEPS) + 2
-    evaluations.  In the alpha_b search (`_golden_min`) an evaluation
-    compares the objective at k and k + 1, so it costs up to two objective
-    calls; neighbouring evaluations share one.
+    the bracket is followed by a bisection, except once a unit step beside
+    an end, the cheapest test of a threshold the secant creeps up on: at
+    most 2 log2(_STEPS) + 2 evaluations.  In the alpha_b search
+    (`_golden_min`) an evaluation compares the objective at k and k + 1, so
+    it costs up to two objective calls; neighbouring evaluations share one.
     """
     dx = math.log(span[1] / span[0]) / _STEPS
     k, slope = _STEPS // 2, slope * dx
     if 0.0 < guess < math.inf:
         k = round(min(_STEPS, max(0.0, math.log(guess / span[0]) / dx)))
-    lo, hi, last = -1, _STEPS + 1, None
+    lo, hi, last, spared = -1, _STEPS + 1, None, False
     for count in itertools.count(1):
         holds, g = evaluate(k)
         width = hi - lo
@@ -401,8 +401,10 @@ def _last_true(evaluate, span, guess: float, slope: float) -> int:
             reach = 2 * abs(k - last[0])
         last = k, g
         aim = k - g / slope if 0.0 < slope < math.inf else math.nan
-        if (count > 3 and 2 * (hi - lo) > width + 1
-                or not math.isfinite(aim) and 0 <= lo < hi <= _STEPS):
+        stalled = count > 3 and 2 * (hi - lo) > width + 1
+        if stalled and hi - lo == width - 1 and not spared:
+            stalled, spared = False, True   # a unit step: the threshold's cheapest test
+        if stalled or not math.isfinite(aim) and 0 <= lo < hi <= _STEPS:
             k = (lo + hi) // 2
         elif math.isfinite(aim):
             k = math.floor(aim)
@@ -423,8 +425,9 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     strong-drive closed form's inverse (`_seed_gamma_10`), each point a full
     search; where that seed fails, and in one-qubit mode (on the decoherence
     floor), from the lattice's centre.  Returns (gamma_10, design, budget); a
-    two-qubit design is the search run there, and its delta_total is at most
-    delta_target.
+    two-qubit point is ranked on its search's own delta_total, and only the
+    search at the result is certified and built (`_certified`); its
+    delta_total is at most delta_target.
 
     Raises
     ------
@@ -444,7 +447,7 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
             delta = _one_qubit_dec_limit(gamma, constraints)[1]
         else:
             searches[k] = _two_qubit_optimize(gamma, constraints)
-            delta = searches[k][2].delta_total
+            delta = searches[k][3]
         return delta <= delta_target, _log_gap(_exponent(delta), _exponent(delta_target))
 
     guess = math.nan
@@ -471,76 +474,48 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     return gamma, design, budget
 
 
-def _row_from_design(gamma_10, design, budget, constraints) -> SweepRow:
-    return SweepRow(
-        gamma_10_over_omega_a=gamma_10,
-        delta_total=budget.delta_total,
-        delta_decoherence=budget.delta_decoherence,
-        delta_spread=budget.delta_coherent_spread,
-        nu_c_over_omega_a=design.nu_c,
-        alpha_b=design.alpha_b,
-        time_norm=design.time_norm,
-        suppression=constraints.suppression,
-        mode=constraints.mode,
-    )
-
-
-def _failed_row(gamma_10, constraints, exc) -> SweepRow:
-    nan = float("nan")
-    return SweepRow(
-        gamma_10_over_omega_a=gamma_10 if gamma_10 is not None else nan,
-        delta_total=nan, delta_decoherence=nan, delta_spread=nan,
-        nu_c_over_omega_a=nan, alpha_b=nan, time_norm=nan,
-        suppression=constraints.suppression, mode=constraints.mode,
-        status=type(exc).__name__,
-    )
-
-
 def sweep(spec: SweepSpec,
           constraint_sets: list[OptimizationConstraints]) -> list[SweepRow]:
     """Trade-off table over the grid, one row per (grid point, constraint set).
 
-    Per-point failures are recorded in the row's status field and never abort
-    the sweep.  After tabulation the optimized error is audited to be
-    nondecreasing in gamma_10 within each constraint set; a violation raises
-    MonotonicityViolation.
+    Per-point failures are recorded in the row's status field, with NaN
+    results, and never abort the sweep.  After tabulation the optimized
+    error is audited to be nondecreasing in gamma_10 within each constraint
+    set; a violation raises MonotonicityViolation.
     """
     if not constraint_sets:
         raise InvalidInput("no constraint sets given")
     rows: list[SweepRow] = []
-    tagged: list[tuple[int, SweepRow]] = []
     for value in spec.values:
-        for idx, cs in enumerate(constraint_sets):
+        for cs in constraint_sets:
+            gamma = value if spec.quantity == "gamma_10" else math.nan
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RegimeWarning)
                     if spec.quantity == "gamma_10":
                         design, budget = optimize_design(value, cs)
-                        row = _row_from_design(value, design, budget, cs)
                     else:
                         gamma, design, budget = max_dephasing(value, cs)
-                        row = _row_from_design(gamma, design, budget, cs)
+                results, status = (budget.delta_total, budget.delta_decoherence,
+                                   budget.delta_coherent_spread, design.nu_c,
+                                   design.alpha_b, design.time_norm), "ok"
             except GateModelError as exc:
-                row = _failed_row(value if spec.quantity == "gamma_10" else None,
-                                  cs, exc)
-            rows.append(row)
-            tagged.append((idx, row))
-    _audit_monotonicity(tagged)
+                results, status = (math.nan,) * 6, type(exc).__name__
+            rows.append(SweepRow(gamma, *results, cs.suppression, cs.mode, status))
+    for i in range(len(constraint_sets)):   # rows are value-major
+        _audit_monotonicity(rows[i::len(constraint_sets)])
     return rows
 
 
-def _audit_monotonicity(tagged: list[tuple[int, SweepRow]]) -> None:
-    by_set: dict[int, list[SweepRow]] = {}
-    for idx, row in tagged:
-        if row.status == "ok":
-            by_set.setdefault(idx, []).append(row)
-    for ok in by_set.values():
-        ok.sort(key=lambda r: r.gamma_10_over_omega_a)
-        for prev, cur in zip(ok, ok[1:]):
-            if cur.delta_total < prev.delta_total - 1e-9:
-                raise MonotonicityViolation(
-                    f"optimized delta_total decreased from {prev.delta_total!r} to "
-                    f"{cur.delta_total!r} as gamma_10 grew from "
-                    f"{prev.gamma_10_over_omega_a!r} to {cur.gamma_10_over_omega_a!r} "
-                    f"(mode={cur.mode}, suppression={cur.suppression})")
-
+def _audit_monotonicity(rows: list[SweepRow]) -> None:
+    """MonotonicityViolation unless delta_total is nondecreasing in gamma_10
+    over the ok rows of one constraint set."""
+    ok = sorted((row for row in rows if row.status == "ok"),
+                key=lambda r: r.gamma_10_over_omega_a)
+    for prev, cur in zip(ok, ok[1:]):
+        if cur.delta_total < prev.delta_total - 1e-9:
+            raise MonotonicityViolation(
+                f"optimized delta_total decreased from {prev.delta_total!r} to "
+                f"{cur.delta_total!r} as gamma_10 grew from "
+                f"{prev.gamma_10_over_omega_a!r} to {cur.gamma_10_over_omega_a!r} "
+                f"(mode={cur.mode}, suppression={cur.suppression})")

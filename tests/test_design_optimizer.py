@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from eitgate import (DegenerateDenominator, ErrorBudget, GateModelError,
-                     InvalidInput, NoConvergence, NotAttainable, OptimizationConstraints,
-                     PhaseTarget, RegimeWarning, SweepSpec, SystemParams, ZeroPhaseRate,
+from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, GateModelError,
+                     InvalidInput, MonotonicityViolation, NoConvergence, NotAttainable,
+                     OptimizationConstraints, PhaseTarget, RegimeWarning, SweepSpec,
+                     SystemParams, ZeroPhaseRate,
                      asymptotic_design, base_params, design_point, max_dephasing, optimal_detuning,
                      optimize_design, sweep, tau_eff_at_optimum, w10)
 from eitgate import coherent_gate, design_optimizer
@@ -210,8 +211,9 @@ class TestOptimizeDesign:
         # the search starts at the seed's alpha_b 10, or at the range's
         # geometric centre 12.2 where the seed fails; the objective's
         # minimum lies at target, several factors away or beyond an end of
-        # the range: the search reaches the lattice minimum, or reports the
-        # edge with the range's end itself
+        # the range: the search reaches the lattice minimum with its own
+        # error there, or returns the range's end itself, which the
+        # certificate reports as the edge
         def error(alpha):
             return -math.expm1(-math.log(alpha / target) ** 2)
 
@@ -219,14 +221,18 @@ class TestOptimizeDesign:
         monkeypatch.setattr(design_optimizer, "_two_qubit_min_nu",
                             lambda params, alpha, cs: (100.0, error(alpha)))
         cs = OptimizationConstraints()
-        _, design, _, at_edge = design_optimizer._two_qubit_optimize(1e-6, cs)
-        assert at_edge is edge
-        _lattice_minimum(error, design.alpha_b, cs.alpha_b_range)
+        search = design_optimizer._two_qubit_optimize(1e-6, cs)
+        _, nu, alpha, delta = search
+        assert (nu, delta) == (100.0, error(alpha))
+        assert (alpha in cs.alpha_b_range) is edge
+        _lattice_minimum(error, alpha, cs.alpha_b_range)
         if edge:
-            assert design.alpha_b == (cs.alpha_b_range[0] if target < 1.0 else cs.alpha_b_range[1])
+            assert alpha == (cs.alpha_b_range[0] if target < 1.0 else cs.alpha_b_range[1])
+            with pytest.raises(NoConvergence, match="edge"):
+                design_optimizer._certified(*search, cs)
         else:
             step = math.log(150.0) / design_optimizer._STEPS
-            assert abs(math.log(design.alpha_b / target)) <= step
+            assert abs(math.log(alpha / target)) <= step
 
 
 def _seed_model_error(gamma, alpha, cs):
@@ -376,6 +382,26 @@ class TestLatticeSearch:
         design_optimizer._last_true(lambda k: seen.append(k) or (k <= 5, math.nan),
                                     self.SPAN, guess, 0.5)
         assert seen[0] == first
+
+    def test_creeping_approach_keeps_to_its_side(self, monkeypatch):
+        # the first alpha_b search of max_dephasing(0.3) at suppression 1e-3
+        # creeps up on its threshold while the failing end is unknown: 9215,
+        # 9238, 9274, 9275; the unit step to 9275 is the cheapest test of
+        # the threshold, so the search tests 9276 next instead of bisecting
+        # towards the lattice's top (12830)
+        searches = []
+        last_true = design_optimizer._last_true
+
+        def recorded(evaluate, span, guess, slope):
+            seen = []
+            searches.append(seen)
+            return last_true(lambda k: seen.append(k) or evaluate(k), span, guess, slope)
+
+        monkeypatch.setattr(design_optimizer, "_last_true", recorded)
+        max_dephasing(0.3, OptimizationConstraints(suppression=1e-3))
+        seen = searches[1]
+        assert max(seen) < (9275 + self.STEPS + 1) // 2   # none in the far half
+        assert seen == [9215, 9238, 9274, 9275, 9276]
 
     def test_lattice_ends_are_exact(self):
         for span in (design_optimizer._GAMMA_SPAN, design_optimizer._MIN_ALPHA_SPAN):
@@ -586,6 +612,23 @@ class TestMaxDephasing:
         assert len(searches) <= 5
         assert len(calls) <= 40
 
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    def test_design_built_once(self, monkeypatch, suppression):
+        # every search hands back its lattice point; only the result of the
+        # command is built into a validated design and budget
+        calls = {"design_point": 0, "_two_qubit_budget": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(design_optimizer, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(design_optimizer, name, counted)
+        cs = OptimizationConstraints(suppression=suppression)
+        max_dephasing(0.2, cs)
+        assert calls == {"design_point": 1, "_two_qubit_budget": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        optimize_design(1e-6, cs)
+        assert calls == {"design_point": 1, "_two_qubit_budget": 1}
+
     def test_not_attainable(self):
         cs = OptimizationConstraints(alpha_b_range=(1.0, 10.0))
         with pytest.raises(NotAttainable):
@@ -604,9 +647,9 @@ class TestMaxDephasing:
         search = design_optimizer._two_qubit_optimize(1e-6, cs)
         monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", lambda g, c: search)
         with pytest.warns(RegimeWarning, match="bracket top"):
-            gamma, _, budget = max_dephasing(0.45, cs)
+            gamma, design, budget = max_dephasing(0.45, cs)
         assert gamma == 1e-1
-        assert budget == search[2]
+        assert (design.nu_c, design.alpha_b, budget.delta_total) == search[1:]
 
     def test_postcondition(self, monkeypatch):
         # a returned design above the target fails loudly, also under -O
@@ -644,7 +687,7 @@ class TestMatchesTheBisection:
         cs = OptimizationConstraints(suppression=suppression)
         for target in (0.05, 0.198, 0.2, 0.202, 0.3):
             k = _bisected(lambda k: design_optimizer._two_qubit_optimize(
-                design_optimizer._lattice(k), cs)[2].delta_total <= target)
+                design_optimizer._lattice(k), cs)[3] <= target)
             assert max_dephasing(target, cs)[0] == design_optimizer._lattice(k)
 
     def test_min_alpha_b(self):
@@ -745,3 +788,53 @@ class TestSweep:
         with pytest.raises(InvalidInput, match=quantity):
             SweepSpec(quantity=quantity, values=(1e-6 if quantity == "gamma_10" else 0.2, value))
 
+
+def _tabulated(errors):
+    """An optimize_design that returns the design and budget of a table
+    {(gamma_10, suppression): delta_total}, raising NoConvergence where the
+    table holds None."""
+    def optimize(gamma, cs):
+        delta = errors[gamma, cs.suppression]
+        if delta is None:
+            raise NoConvergence("no design here")
+        return (GateDesign(nu_c=1.0, alpha_b=10.0, phi=cs.phi, time_norm=100.0),
+                ErrorBudget(delta / 2, delta / 2, delta, math.sqrt(1.0 - delta)))
+    return optimize
+
+
+class TestMonotonicityAudit:
+    """The sweep audits delta_total within each constraint set, over its ok rows."""
+
+    SETS = [OptimizationConstraints(suppression=1.0),
+            OptimizationConstraints(suppression=1e-3, mode="one-qubit")]
+
+    def test_decrease_within_a_set_raises(self, monkeypatch):
+        # the first set rises, the second falls: the message names the second
+        monkeypatch.setattr(design_optimizer, "optimize_design", _tabulated(
+            {(1e-6, 1.0): 0.1, (1e-6, 1e-3): 0.3, (1e-5, 1.0): 0.2, (1e-5, 1e-3): 0.25}))
+        with pytest.raises(MonotonicityViolation,
+                           match=r"0\.3 to 0\.25 .*\(mode=one-qubit, suppression=0\.001\)"):
+            sweep(SweepSpec("gamma_10", (1e-6, 1e-5)), self.SETS)
+
+    def test_crossing_sets_pass(self, monkeypatch):
+        # rows are value-major: 0.1, 0.3, 0.5, 0.4 falls as a whole, but
+        # each set rises, and the two cross
+        monkeypatch.setattr(design_optimizer, "optimize_design", _tabulated(
+            {(1e-6, 1.0): 0.1, (1e-6, 1e-3): 0.3, (1e-5, 1.0): 0.5, (1e-5, 1e-3): 0.4}))
+        rows = sweep(SweepSpec("gamma_10", (1e-6, 1e-5)), self.SETS)
+        assert [r.delta_total for r in rows] == [0.1, 0.3, 0.5, 0.4]
+        assert [r.suppression for r in rows] == [1.0, 1e-3, 1.0, 1e-3]
+
+    def test_failed_rows_are_skipped(self, monkeypatch):
+        # a failed row between a fall does not hide it, and a failed row
+        # alone passes
+        gammas = (1e-6, 1e-5, 1e-4)
+        monkeypatch.setattr(design_optimizer, "optimize_design", _tabulated(
+            {(1e-6, 1.0): 0.3, (1e-5, 1.0): None, (1e-4, 1.0): 0.2}))
+        with pytest.raises(MonotonicityViolation, match="0.3 to 0.2"):
+            sweep(SweepSpec("gamma_10", gammas), self.SETS[:1])
+        monkeypatch.setattr(design_optimizer, "optimize_design", _tabulated(
+            {(1e-6, 1.0): 0.2, (1e-5, 1.0): None, (1e-4, 1.0): 0.3}))
+        rows = sweep(SweepSpec("gamma_10", gammas), self.SETS[:1])
+        assert [r.status for r in rows] == ["ok", "NoConvergence", "ok"]
+        assert math.isnan(rows[1].delta_total)
