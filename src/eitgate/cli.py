@@ -322,6 +322,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eitgate",
@@ -374,6 +375,12 @@ def _load(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code.
+
+    `main` may be called many times in one process.  Each call parses only
+    its own `argv` into a fresh namespace, and all calls share the one parser
+    that `build_parser` builds on first use, which callers must not mutate.
+    """
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)

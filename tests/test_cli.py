@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from eitgate import (OptimizationConstraints, PhaseTarget, SweepSpec, asymptotic_design,
                      fock_dephasing_bound, gate_time, kerr_approximation,
                      optimal_detuning, optimize_design, sweep, tau_eff, verify_qss, w10)
+from eitgate import cli
 from eitgate.cli import (ConfigError, cmd_check_oracle, cmd_design,
                          cmd_eval, cmd_sweep, load_config, main,
                          parse_config)
 
 PI = math.pi
+
+REFERENCE = Path(__file__).resolve().parents[1] / "reference"
 
 #: column order of the sweep tables
 SWEEP_COLUMNS = ("gamma_10_over_omega_a", "delta_total", "delta_decoherence",
@@ -158,8 +163,7 @@ class TestConfigParsing:
             load_config(str(bad))
 
     def test_bundled_tradeoff_config(self):
-        from pathlib import Path
-        path = Path(__file__).resolve().parent.parent / "configs" / "fig2.json"
+        path = REFERENCE.parent / "configs" / "fig2.json"
         config = load_config(str(path))
         assert config.sweep.quantity == "delta_target"
         assert len(config.sweep.constraint_sets) == 3
@@ -438,6 +442,53 @@ class TestMainEntry:
         assert main(["check-oracle", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "InvalidInput" in err and "underflows" in err
+
+
+class TestInProcessCalls:
+    """Many `main` calls in one process share one parser and nothing else."""
+
+    def test_mixed_sequence_matches_references(self, tmp_path):
+        def run(name, *argv):
+            return main([*argv, "--out", str(tmp_path / name)])
+
+        assert run("raw.json", "eval", "--raw", "--verbose") == 0
+        assert run("eval.json", "eval") == 0
+        assert run("design-delta0.2-s1e-3.json",
+                   "design", "--delta", "0.2", "--suppression", "1e-3") == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--delta", "--out", str(tmp_path / "argparse.json")])
+        assert exc.value.code == 2
+        assert run("config.json", "design", "--delta", "0.2", "--gamma10", "1e-6") == 2
+        assert run("design-gamma10-1e-6.csv",
+                   "design", "--gamma10", "1e-6", "--format", "csv") == 0
+        assert run("check-oracle.json", "check-oracle") == 0
+        assert not (tmp_path / "argparse.json").exists()
+        assert not (tmp_path / "config.json").exists()
+        for name in ("eval.json", "design-delta0.2-s1e-3.json",
+                     "design-gamma10-1e-6.csv", "check-oracle.json"):
+            assert (tmp_path / name).read_bytes() == (REFERENCE / name).read_bytes(), name
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        out = str(tmp_path / "eval.json")
+        assert main(["eval", "--out", out]) == 0
+        assert built == ["eitgate", "eitgate eval", "eitgate design", "eitgate sweep",
+                         "eitgate check-oracle"]
+        for _ in range(9):
+            assert main(["eval", "--out", out]) == 0
+        assert len(built) == 5
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: eitgate")
 
 
 class TestCheckOracle:
