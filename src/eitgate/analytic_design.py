@@ -37,16 +37,15 @@ class AuxiliaryFactors:
     gamma_20_tilde: float
 
 
-@dataclass(frozen=True)
-class PhaseTarget:
-    """Target phase shift phi in radians (the gate applies -phi)."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not 0 < self.phi <= 2 * math.pi:
-            warnings.warn(f"target phase {self.phi} rad outside (0, 2*pi]",
-                          RegimeWarning, stacklevel=3)
+def _check_phase(phi: float) -> None:
+    """InvalidInput for a target phase phi <= 0, RegimeWarning for one
+    outside (0, 2 pi].  Called from the __post_init__ of a record that takes
+    a phase, so the warning names the line that built the record."""
+    if phi <= 0:
+        raise InvalidInput(f"phi must be > 0, got {phi}")
+    if not phi <= 2 * math.pi:
+        warnings.warn(f"target phase {phi} rad outside (0, 2*pi]", RegimeWarning,
+                      stacklevel=4)
 
 
 def aux_factors(params: SystemParams) -> AuxiliaryFactors:
@@ -64,8 +63,8 @@ def aux_factors(params: SystemParams) -> AuxiliaryFactors:
     )
 
 
-def tau_eff(params: SystemParams, target: PhaseTarget) -> float:
-    """Decoherence exposure accumulated while acquiring the target phase.
+def tau_eff(params: SystemParams, phi: float) -> float:
+    """Decoherence exposure accumulated while acquiring the target phase phi.
 
     tau_eff = -(gamma_10 + Im W10) / Re W10 * phi, with the exact response.
     The coherence after the gate is rho_10(0) e^{-i phi} e^{-tau_eff}.
@@ -78,7 +77,7 @@ def tau_eff(params: SystemParams, target: PhaseTarget) -> float:
     w = w10(params)
     if w.real == 0:
         raise ZeroPhaseRate("tau_eff: Re(W10) = 0, gate impossible at these parameters")
-    return -(params.gamma_10 + w.imag) / w.real * target.phi
+    return -(params.gamma_10 + w.imag) / w.real * phi
 
 
 def _check_detuning_regime(params: SystemParams):
@@ -117,7 +116,7 @@ def optimal_detuning(params: SystemParams) -> float:
     return math.sqrt(radicand) * f.q_c_sq / f.q_b_sq
 
 
-def tau_eff_at_optimum(params: SystemParams, target: PhaseTarget) -> float:
+def tau_eff_at_optimum(params: SystemParams, phi: float) -> float:
     """Minimum of tau_eff over nu_c, in closed form.
 
     2 sqrt[gamma_10~ gamma_20~ (gamma_10 gamma_20~ + |Omega_a|^2)]
@@ -130,10 +129,10 @@ def tau_eff_at_optimum(params: SystemParams, target: PhaseTarget) -> float:
     root = math.sqrt(f.gamma_10_tilde * f.gamma_20_tilde
                      * (params.gamma_10 * f.gamma_20_tilde + params.omega_a ** 2))
     return (2.0 * root * (f.q_b_sq / params.omega_b ** 2)
-            * (f.q_c_sq / params.omega_c ** 2) * target.phi / params.omega_a ** 2)
+            * (f.q_c_sq / params.omega_c ** 2) * phi / params.omega_a ** 2)
 
 
-def asymptotic_design(params: SystemParams, target: PhaseTarget) -> tuple[float, float]:
+def asymptotic_design(params: SystemParams, phi: float) -> tuple[float, float]:
     """Strong-drive asymptotics of the optimal design point.
 
     nu_c ~ sqrt(gamma_20~/gamma_10~) (|Omega_c|^2/|Omega_b|^2) |Omega_a|,
@@ -161,11 +160,11 @@ def asymptotic_design(params: SystemParams, target: PhaseTarget) -> tuple[float,
         raise DegenerateParams("asymptotic_design: gamma_10~ = 0, optimum diverges")
     nu_c = (math.sqrt(f.gamma_20_tilde / f.gamma_10_tilde)
             * (params.omega_c ** 2 / params.omega_b ** 2) * params.omega_a)
-    tau = 2.0 * target.phi * math.sqrt(f.gamma_10_tilde * f.gamma_20_tilde) / params.omega_a
+    tau = 2.0 * phi * math.sqrt(f.gamma_10_tilde * f.gamma_20_tilde) / params.omega_a
     return nu_c, tau
 
 
-def fock_dephasing_bound(delta: float, target: PhaseTarget, n_b: int) -> float:
+def fock_dephasing_bound(delta: float, phi: float, n_b: int) -> float:
     """Dephasing tolerable for error delta with a Fock drive of n_b photons.
 
     gamma_10 / |Omega~_a| = (delta/phi)^2 / n_b, derived for the pessimistic
@@ -175,11 +174,11 @@ def fock_dephasing_bound(delta: float, target: PhaseTarget, n_b: int) -> float:
     """
     if delta <= 0:
         raise InvalidInput(f"delta must be > 0, got {delta}")
-    if target.phi <= 0:
-        raise InvalidInput(f"phi must be > 0, got {target.phi}")
+    if phi <= 0:
+        raise InvalidInput(f"phi must be > 0, got {phi}")
     if n_b < 1:
         raise InvalidInput(f"n_b must be >= 1, got {n_b}")
-    return (delta / target.phi) ** 2 / n_b
+    return (delta / phi) ** 2 / n_b
 
 
 def decoherence_error(tau: float, rho10_initial: complex = 0.5) -> float:
@@ -196,7 +195,7 @@ def decoherence_error(tau: float, rho10_initial: complex = 0.5) -> float:
     return mag ** 2 * (1.0 - math.exp(-2.0 * tau))
 
 
-def gate_time(params: SystemParams, target: PhaseTarget) -> float:
+def gate_time(params: SystemParams, phi: float) -> float:
     """Interaction time needed for the target phase, as |Omega_a| N t.
 
     t = -phi / (Re(W10) N); the returned product |Omega_a| N t is the
@@ -205,4 +204,4 @@ def gate_time(params: SystemParams, target: PhaseTarget) -> float:
     w = w10(params)
     if w.real == 0:
         raise ZeroPhaseRate("gate_time: Re(W10) = 0, no phase accumulates")
-    return -target.phi * params.omega_a / w.real
+    return -phi * params.omega_a / w.real

@@ -23,7 +23,7 @@ import types
 import typing
 from dataclasses import dataclass, replace
 
-from .analytic_design import (PhaseTarget, asymptotic_design, decoherence_error,
+from .analytic_design import (_check_phase, asymptotic_design, decoherence_error,
                               fock_dephasing_bound, gate_time, optimal_detuning,
                               tau_eff)
 from .core_model import SystemParams, kerr_approximation, w10
@@ -44,7 +44,8 @@ class EvalOptions:
     kerr: bool = True
 
     def __post_init__(self):
-        fock_dephasing_bound(self.delta, PhaseTarget(self.phi), self.n_b)  # raises when out of range
+        fock_dephasing_bound(self.delta, self.phi, self.n_b)  # raises when out of range
+        _check_phase(self.phi)
 
 
 @dataclass(frozen=True)
@@ -203,21 +204,20 @@ def cmd_eval(config: RunConfig) -> dict:
     """Closed-form quantities at the configured parameter point."""
     p = config.system
     opts = config.eval
-    target = PhaseTarget(opts.phi)
     scale = 1.0 if config.raw else p.omega_a_tilde
     kerr = kerr_approximation(p) / scale if opts.kerr else None
     w = w10(p)
     nu_opt = optimal_detuning(p)
-    asym_nu, asym_tau = asymptotic_design(p, target)
+    asym_nu, asym_tau = asymptotic_design(p, opts.phi)
     report = {
         "w10_re": w.real / scale,
         "w10_im": w.imag / scale,
-        "tau_eff": tau_eff(p, target),
+        "tau_eff": tau_eff(p, opts.phi),
         "optimal_nu_c": nu_opt / scale,
         "asymptotic_nu_c": asym_nu / scale,
         "asymptotic_tau_eff": asym_tau,
-        "fock_dephasing_bound": fock_dephasing_bound(opts.delta, target, opts.n_b),
-        "gate_time_norm": gate_time(p, target),
+        "fock_dephasing_bound": fock_dephasing_bound(opts.delta, opts.phi, opts.n_b),
+        "gate_time_norm": gate_time(p, opts.phi),
     }
     if kerr is not None:
         report["kerr_phase_rate"] = kerr
@@ -275,7 +275,7 @@ def cmd_check_oracle(config: RunConfig) -> tuple[list[dict], bool]:
         t_final = opts.t_final
         if t_final is None:
             try:
-                t_final = gate_time(p, PhaseTarget(math.pi)) / max(p.omega_a, 1e-300)
+                t_final = gate_time(p, math.pi) / max(p.omega_a, 1e-300)
             except GateModelError:
                 t_final = 200.0 / p.gamma_20 if p.gamma_20 > 0 else 200.0
         rep = verify_qss(p, t_final)

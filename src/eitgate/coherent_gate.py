@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic_design import PhaseTarget, gate_time
-from .core_model import SystemParams, _unchecked, _w10_terms
+from .analytic_design import _check_phase, gate_time
+from .core_model import SystemParams, _w10_terms
 from .errors import InvalidInput
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
@@ -51,8 +51,7 @@ class GateDesign:
         _check_finite(self)
         if self.alpha_b < 0:
             raise InvalidInput(f"alpha_b must be >= 0, got {self.alpha_b}")
-        if self.phi <= 0:
-            raise InvalidInput(f"phi must be > 0, got {self.phi}")
+        _check_phase(self.phi)
         _check_time(self.time_norm)
         _check_alpha_c(self.alpha_c)
 
@@ -256,19 +255,14 @@ def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: flo
     alpha_b, phi)), bit for bit, without the design or the budget.
 
     The design searches call this at every point.  It shares the full path's
-    time calibration (gate_time at the mean component), window and kernel
+    mean component, time calibration (gate_time), window and kernel
     (_overlap), and raises the same error class wherever the full path does:
     for a non-finite nu_c or alpha_b, a degenerate or zero phase rate at the
     mean component, a negative or non-finite time and a non-finite or
-    out-of-range fidelity.  params itself, fixed for a whole search, is not
-    checked again.
+    out-of-range fidelity.
     """
-    omega_b = params.omega_b_tilde * alpha_b
-    if not (math.isfinite(nu_c) and alpha_b >= 0 and math.isfinite(omega_b)):
-        raise InvalidInput(f"nu_c and alpha_b must be finite and alpha_b >= 0, "
-                           f"got {nu_c} and {alpha_b}")
-    mean = _unchecked(params, nu_c=nu_c, omega_b_tilde=omega_b)
-    time_norm = gate_time(mean, PhaseTarget(phi))
+    mean = _mean_component(params, nu_c, alpha_b)
+    time_norm = gate_time(mean, phi)
     _check_time(time_norm)
     _, _, sqrt_nb, weights, wsum = _window(alpha_b)
     # _overlap takes the amplitudes as arguments; of mean it reads only the
@@ -348,9 +342,25 @@ def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
     Fock component of each coherent mode acquires exactly the target phase;
     alpha_c > 0 makes mode c coherent too (one-qubit gate).
     """
+    time_norm = gate_time(_mean_component(params, nu_c, alpha_b, alpha_c), phi)
+    return GateDesign(nu_c=nu_c, alpha_b=alpha_b, phi=phi, time_norm=time_norm,
+                      alpha_c=alpha_c)
+
+
+def _mean_component(params: SystemParams, nu_c: float, alpha_b: float,
+                    alpha_c: float | None = None) -> SystemParams:
+    """The mean Fock component's system: params at nu_c, with alpha_b and a
+    one-qubit point's alpha_c (n_c = 1) folded into the amplitudes.  A view
+    that skips SystemParams' checks, which params passed when it was built;
+    InvalidInput for a non-finite nu_c or amplitude, alpha_b < 0 or alpha_c <= 0.
+    """
     _check_alpha_c(alpha_c)
-    mean = replace(params, nu_c=nu_c, omega_b_tilde=params.omega_b_tilde * alpha_b)
+    changes = {"nu_c": nu_c, "omega_b_tilde": params.omega_b_tilde * alpha_b}
     if alpha_c is not None:
-        mean = replace(mean, omega_c_tilde=params.omega_c_tilde * alpha_c, n_c=1)
-    return GateDesign(nu_c=nu_c, alpha_b=alpha_b, phi=phi,
-                      time_norm=gate_time(mean, PhaseTarget(phi)), alpha_c=alpha_c)
+        changes.update(omega_c_tilde=params.omega_c_tilde * alpha_c, n_c=1)
+    if not (alpha_b >= 0 and all(map(math.isfinite, changes.values()))):
+        raise InvalidInput(f"nu_c and the amplitudes must be finite and alpha_b >= 0, "
+                           f"got nu_c={nu_c}, alpha_b={alpha_b}, alpha_c={alpha_c}")
+    view = object.__new__(SystemParams)
+    view.__dict__.update(vars(params), **changes)
+    return view

@@ -81,17 +81,6 @@ class SystemParams:
         return np.float64(self.omega_c_tilde * math.sqrt(self.n_c))
 
 
-def _unchecked(params: SystemParams, **changes) -> SystemParams:
-    """replace(params, **changes) without running SystemParams' checks again.
-
-    Only for values that are already checked: a design search validates its
-    system once, then moves nu_c and the drive amplitude point by point.
-    """
-    view = object.__new__(SystemParams)
-    view.__dict__.update(vars(params), **changes)
-    return view
-
-
 def _w10_terms(params: SystemParams, omega_b, omega_c):
     """Numerator, denominator and degeneracy flag of W10.
 

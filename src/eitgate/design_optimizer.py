@@ -19,11 +19,11 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .analytic_design import PhaseTarget, optimal_detuning, tau_eff
+from .analytic_design import _check_phase, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
-                            _one_qubit_budget, _two_qubit_budget, _two_qubit_delta,
-                            design_point)
-from .core_model import SystemParams, _unchecked
+                            _mean_component, _one_qubit_budget, _two_qubit_budget,
+                            _two_qubit_delta, design_point)
+from .core_model import SystemParams
 from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
                      NoConvergence, NotAttainable, RegimeWarning)
 
@@ -40,7 +40,9 @@ class OptimizationConstraints:
     Everything is expressed in units of the per-photon probe amplitude
     |Omega~_a|; the probe carries one photon, mode c one photon in two-qubit
     mode.  gamma_30 is held at zero so the optimized error depends only on
-    the ratios fixed here.
+    the ratios fixed here.  Only two-qubit mode reads alpha_b_range (one-qubit
+    mode searches the fixed lattice _MIN_ALPHA_SPAN = [0.5, 400]), and only
+    one-qubit mode reads alpha_c_over_alpha_b.
     """
 
     omega_a_over_gamma_20: float = 1.0
@@ -64,8 +66,7 @@ class OptimizationConstraints:
             raise InvalidInput(f"mode must be '{TWO_QUBIT}' or '{ONE_QUBIT}'")
         if not 0 < self.alpha_b_range[0] < self.alpha_b_range[1]:  # searched on ln alpha_b
             raise InvalidInput(f"alpha_b_range must be 0 < lo < hi, got {self.alpha_b_range}")
-        if self.phi <= 0:
-            raise InvalidInput(f"phi must be > 0, got {self.phi}")
+        _check_phase(self.phi)
         if self.alpha_c_over_alpha_b <= 0:
             raise InvalidInput("alpha_c_over_alpha_b must be > 0")
 
@@ -168,10 +169,9 @@ def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
     """(nu_c, delta_total) at alpha_b, nu_c the closed-form optimum of the
     mean component (at most 1.2e-6 above the minimum over nu_c at the fig2
     designs)."""
-    mean = _unchecked(params, omega_b_tilde=params.omega_b_tilde * alpha_b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        nu = optimal_detuning(mean)
+        nu = optimal_detuning(_mean_component(params, params.nu_c, alpha_b))
     return nu, _two_qubit_delta(params, nu, alpha_b, constraints.phi)
 
 
@@ -277,7 +277,7 @@ def _one_qubit_dec_limit(gamma_10: float, constraints: OptimizationConstraints):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         nu = optimal_detuning(mean)
-        tau = tau_eff(replace(mean, nu_c=nu), PhaseTarget(constraints.phi))
+        tau = tau_eff(replace(mean, nu_c=nu), constraints.phi)
     return nu, 1.0 - math.exp(-2.0 * tau)
 
 

@@ -27,9 +27,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitgate import (OptimizationConstraints, PhaseTarget,
-                     SweepSpec, SystemParams, design_point, fock_dephasing_bound,
-                     max_dephasing, optimal_detuning, steady_chain_rate,
+from eitgate import (OptimizationConstraints, SweepSpec, SystemParams, design_point,
+                     fock_dephasing_bound, max_dephasing, optimal_detuning, steady_chain_rate,
                      sweep, tau_eff, verify_qss, w10)
 from eitgate.cli import main
 from eitgate.coherent_gate import _two_qubit_budget
@@ -149,7 +148,6 @@ def _golden_argmin(f, lo, hi, iters=80):
 
 
 def test_criterion_4_closed_form_optimum(rng):
-    target = PhaseTarget(PI)
     worst = 0.0
     for _ in range(100):
         p = SystemParams(
@@ -163,7 +161,7 @@ def test_criterion_4_closed_form_optimum(rng):
             gamma_40=rng.uniform(0.5, 2.0))
         seed = optimal_detuning(p)
         argmin = _golden_argmin(
-            lambda v: tau_eff(replace(p, nu_c=v), target),
+            lambda v: tau_eff(replace(p, nu_c=v), PI),
             seed / 100.0, seed * 100.0)
         worst = max(worst, abs(argmin - seed) / seed)
     _criterion(4, "numerical argmin of tau_eff matches the closed form", [
@@ -246,7 +244,7 @@ def test_criterion_6_coherent_spread_scaling():
 
 
 def test_criterion_7_fock_dephasing_bound():
-    value = fock_dephasing_bound(0.2, PhaseTarget(PI), 100)
+    value = fock_dephasing_bound(0.2, PI, 100)
     expected = (0.2 / PI) ** 2 / 100.0
     rel = abs(value - expected) / expected
     _criterion(7, "Fock-input dephasing estimate evaluates exactly", [

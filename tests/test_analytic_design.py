@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitgate import (DegenerateParams, DivisionByZero, InvalidInput, PhaseTarget,
-                     RegimeWarning, SystemParams, ZeroPhaseRate, asymptotic_design,
-                     aux_factors, decoherence_error, fock_dephasing_bound,
-                     gate_time, kerr_approximation, optimal_detuning, tau_eff,
-                     tau_eff_at_optimum, w10)
+from eitgate import (DegenerateParams, DivisionByZero, GateDesign, InvalidInput,
+                     OptimizationConstraints, RegimeWarning, SystemParams, ZeroPhaseRate,
+                     asymptotic_design, aux_factors, decoherence_error,
+                     fock_dephasing_bound, gate_time, kerr_approximation,
+                     optimal_detuning, tau_eff, tau_eff_at_optimum, w10)
+from eitgate.cli import EvalOptions
 from conftest import w10_continued_fraction
 
 PI = math.pi
@@ -84,23 +85,23 @@ class TestTauEff:
         # gamma_10 = 0 and Im(W10) = 0: pure real response, no exposure
         p = params(gamma_10=0.0, gamma_20=0.0, gamma_40=0.0)
         assert w10(p).imag == 0.0
-        assert tau_eff(p, PhaseTarget(PI)) == 0.0
+        assert tau_eff(p, PI) == 0.0
 
     def test_linearity_in_phi(self):
         p = params()
-        assert tau_eff(p, PhaseTarget(2.0)) == pytest.approx(
-            2.0 * tau_eff(p, PhaseTarget(1.0)), rel=1e-14)
+        assert tau_eff(p, 2.0) == pytest.approx(
+            2.0 * tau_eff(p, 1.0), rel=1e-14)
 
     def test_value_from_response_oracle(self):
         p = params()
         w = w10_continued_fraction(p)
         expected = -(p.gamma_10 + w.imag) / w.real * PI
-        assert tau_eff(p, PhaseTarget(PI)) == pytest.approx(expected, rel=1e-12)
-        assert tau_eff(p, PhaseTarget(PI)) > 0
+        assert tau_eff(p, PI) == pytest.approx(expected, rel=1e-12)
+        assert tau_eff(p, PI) > 0
 
     def test_zero_phase_rate(self):
         with pytest.raises(ZeroPhaseRate):
-            tau_eff(params(nu_c=0.0), PhaseTarget(PI))
+            tau_eff(params(nu_c=0.0), PI)
 
 
 class TestOptimalDetuning:
@@ -121,8 +122,7 @@ class TestOptimalDetuning:
     def test_matches_numerical_argmin(self):
         p = params()
         seed = optimal_detuning(p)
-        target = PhaseTarget(PI)
-        argmin = golden_argmin(lambda v: tau_eff(replace(p, nu_c=v), target),
+        argmin = golden_argmin(lambda v: tau_eff(replace(p, nu_c=v), PI),
                                seed / 100.0, seed * 100.0)
         assert abs(argmin - seed) / seed < 0.05
 
@@ -138,86 +138,80 @@ class TestTauEffAtOptimum:
         # neglected gamma_10 gamma_20 term
         p = params(gamma_40=0.0)
         expected = 2.0 * math.sqrt(1e-6 * 1.0) * PI
-        assert tau_eff_at_optimum(p, PhaseTarget(PI)) == pytest.approx(expected, rel=1e-5)
+        assert tau_eff_at_optimum(p, PI) == pytest.approx(expected, rel=1e-5)
 
     def test_zero_phase(self):
-        with pytest.warns(RegimeWarning) as record:
-            target = PhaseTarget(0.0)
-        assert record[0].filename == __file__       # the caller, not the generated __init__
-        assert tau_eff_at_optimum(params(), target) == 0.0
+        # the formulas take any phase; the records a phase enters through
+        # check it (TestPhaseEntryPoints)
+        assert tau_eff_at_optimum(params(), 0.0) == 0.0
 
     def test_consistency_with_tau_eff(self):
         p = params()
-        target = PhaseTarget(PI)
-        at_opt = tau_eff(replace(p, nu_c=optimal_detuning(p)), target)
-        assert tau_eff_at_optimum(p, target) == pytest.approx(at_opt, rel=0.05)
+        at_opt = tau_eff(replace(p, nu_c=optimal_detuning(p)), PI)
+        assert tau_eff_at_optimum(p, PI) == pytest.approx(at_opt, rel=0.05)
 
     def test_minimum_property(self, rng):
         p = params()
-        target = PhaseTarget(PI)
-        floor = tau_eff_at_optimum(p, target)
+        floor = tau_eff_at_optimum(p, PI)
         for _ in range(50):
             nu = math.exp(rng.uniform(math.log(10.0), math.log(1e5)))
-            assert floor <= tau_eff(replace(p, nu_c=nu), target) * 1.05
+            assert floor <= tau_eff(replace(p, nu_c=nu), PI) * 1.05
 
     def test_zero_amplitude(self):
         with pytest.raises(DivisionByZero):
-            tau_eff_at_optimum(params(omega_c_tilde=0.0), PhaseTarget(PI))
+            tau_eff_at_optimum(params(omega_c_tilde=0.0), PI)
 
 
 class TestAsymptoticDesign:
     def test_agreement_with_full_forms(self):
         p = params(omega_b_tilde=30.0, omega_c_tilde=30.0)
-        target = PhaseTarget(PI)
-        nu, tau = asymptotic_design(p, target)
+        nu, tau = asymptotic_design(p, PI)
         assert nu == pytest.approx(optimal_detuning(p), rel=0.10)
-        assert tau == pytest.approx(tau_eff_at_optimum(p, target), rel=0.10)
+        assert tau == pytest.approx(tau_eff_at_optimum(p, PI), rel=0.10)
 
     def test_ratio_cancellation(self):
         p = params()
         f = aux_factors(p)
-        nu, _ = asymptotic_design(p, PhaseTarget(PI))
+        nu, _ = asymptotic_design(p, PI)
         assert nu == pytest.approx(
             math.sqrt(f.gamma_20_tilde / f.gamma_10_tilde), rel=1e-12)
 
     def test_sqrt_scalings(self):
         p = params()
-        nu1, tau1 = asymptotic_design(p, PhaseTarget(PI))
-        nu2, tau2 = asymptotic_design(replace(p, gamma_10=4e-6), PhaseTarget(PI))
+        nu1, tau1 = asymptotic_design(p, PI)
+        nu2, tau2 = asymptotic_design(replace(p, gamma_10=4e-6), PI)
         assert nu2 == pytest.approx(nu1 / 2.0, rel=1e-3)
         assert tau2 == pytest.approx(2.0 * tau1, rel=1e-3)
 
     def test_out_of_regime_warns(self):
         with pytest.warns(RegimeWarning):
             asymptotic_design(params(omega_b_tilde=1.0, omega_c_tilde=1.0),
-                              PhaseTarget(PI))
+                              PI)
 
 
 class TestFockDephasingBound:
     def test_reference_value(self):
-        value = fock_dephasing_bound(0.2, PhaseTarget(PI), 100)
+        value = fock_dephasing_bound(0.2, PI, 100)
         assert value == pytest.approx((0.2 / PI) ** 2 / 100.0, rel=1e-15)
 
     def test_quadratic_in_delta(self):
-        t = PhaseTarget(PI)
-        assert fock_dephasing_bound(0.4, t, 100) == pytest.approx(
-            4.0 * fock_dephasing_bound(0.2, t, 100), rel=1e-14)
+        assert fock_dephasing_bound(0.4, PI, 100) == pytest.approx(
+            4.0 * fock_dephasing_bound(0.2, PI, 100), rel=1e-14)
 
     def test_inverse_in_n(self):
-        t = PhaseTarget(PI)
-        assert fock_dephasing_bound(0.2, t, 200) == pytest.approx(
-            fock_dephasing_bound(0.2, t, 100) / 2.0, rel=1e-14)
+        assert fock_dephasing_bound(0.2, PI, 200) == pytest.approx(
+            fock_dephasing_bound(0.2, PI, 100) / 2.0, rel=1e-14)
 
     def test_joint_scale_invariance(self):
-        a = fock_dephasing_bound(0.2, PhaseTarget(1.0), 50)
-        b = fock_dephasing_bound(0.6, PhaseTarget(3.0), 50)
+        a = fock_dephasing_bound(0.2, 1.0, 50)
+        b = fock_dephasing_bound(0.6, 3.0, 50)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInput):
-            fock_dephasing_bound(-0.1, PhaseTarget(PI), 100)
+            fock_dephasing_bound(-0.1, PI, 100)
         with pytest.raises(InvalidInput):
-            fock_dephasing_bound(0.2, PhaseTarget(PI), 0)
+            fock_dephasing_bound(0.2, PI, 0)
 
 
 class TestDecoherenceError:
@@ -249,22 +243,39 @@ class TestDecoherenceError:
 
 class TestGateTime:
     def test_zero_phase(self):
-        with pytest.warns(RegimeWarning) as record:
-            target = PhaseTarget(0.0)
-        assert record[0].filename == __file__       # the caller, not the generated __init__
-        assert gate_time(params(), target) == 0.0
+        assert gate_time(params(), 0.0) == 0.0
 
     def test_kerr_regime_value(self):
         p = params()
-        t = gate_time(p, PhaseTarget(PI))
+        t = gate_time(p, PI)
         assert t == pytest.approx(PI / 0.1, rel=0.05)          # Kerr estimate
         assert t == pytest.approx(-PI / w10(p).real, rel=1e-14)
 
     def test_kerr_refinement(self):
         p = params()
-        exact = gate_time(p, PhaseTarget(PI))
+        exact = gate_time(p, PI)
         assert exact == pytest.approx(-PI / kerr_approximation(p), rel=0.05)
 
     def test_zero_phase_rate(self):
         with pytest.raises(ZeroPhaseRate):
-            gate_time(params(nu_c=0.0), PhaseTarget(PI))
+            gate_time(params(nu_c=0.0), PI)
+
+
+@pytest.mark.parametrize("record, fields", [
+    (GateDesign, dict(nu_c=1.0, alpha_b=1.0, time_norm=1.0)),
+    (OptimizationConstraints, {}),
+    (EvalOptions, {}),
+], ids=["GateDesign", "OptimizationConstraints", "EvalOptions"])
+class TestPhaseEntryPoints:
+    """A target phase enters through these records, which check it once."""
+
+    def test_above_two_pi_warns_once_at_the_caller(self, record, fields):
+        with pytest.warns(RegimeWarning) as caught:
+            record(phi=7.0, **fields)
+        assert len(caught) == 1
+        assert caught[0].filename == __file__       # the caller, not the generated __init__
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0])
+    def test_not_positive_raises(self, record, fields, phi):
+        with pytest.raises(InvalidInput):
+            record(phi=phi, **fields)

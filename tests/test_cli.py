@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitgate import (OptimizationConstraints, PhaseTarget, SweepSpec, asymptotic_design,
+from eitgate import (OptimizationConstraints, SweepSpec, asymptotic_design,
                      fock_dephasing_bound, gate_time, kerr_approximation,
                      optimal_detuning, optimize_design, sweep, tau_eff, verify_qss, w10)
 from eitgate import cli
 from eitgate.cli import (ConfigError, cmd_check_oracle, cmd_design,
                          cmd_eval, cmd_sweep, load_config, main,
                          parse_config)
+from test_reference_outputs import COMPARE
 
 PI = math.pi
 
@@ -178,17 +179,17 @@ class TestCliLibraryEquivalence:
                                "eval": {"phi": 1.5, "delta": 0.1, "n_b": 50}})
         report = cmd_eval(config)
         p = config.system
-        target = PhaseTarget(1.5)
+        phi = 1.5
         scale = p.omega_a_tilde
         assert report["w10_re"] == w10(p).real / scale
         assert report["w10_im"] == w10(p).imag / scale
-        assert report["tau_eff"] == tau_eff(p, target)
+        assert report["tau_eff"] == tau_eff(p, phi)
         assert report["optimal_nu_c"] == optimal_detuning(p) / scale
-        nu_asym, tau_asym = asymptotic_design(p, target)
+        nu_asym, tau_asym = asymptotic_design(p, phi)
         assert report["asymptotic_nu_c"] == nu_asym / scale
         assert report["asymptotic_tau_eff"] == tau_asym
-        assert report["fock_dephasing_bound"] == fock_dephasing_bound(0.1, target, 50)
-        assert report["gate_time_norm"] == gate_time(p, target)
+        assert report["fock_dephasing_bound"] == fock_dephasing_bound(0.1, phi, 50)
+        assert report["gate_time_norm"] == gate_time(p, phi)
         assert report["kerr_phase_rate"] == kerr_approximation(p) / scale
 
     def test_raw_flag_skips_normalization(self):
@@ -223,7 +224,7 @@ class TestMainEntry:
         # printed numbers parse back to the library values bit for bit
         p = parse_config({}).system
         assert report["w10_re"] == w10(p).real / p.omega_a_tilde
-        assert report["gate_time_norm"] == gate_time(p, PhaseTarget(math.pi))
+        assert report["gate_time_norm"] == gate_time(p, math.pi)
 
     def test_eval_csv(self, capsys):
         assert main(["eval", "--format", "csv"]) == 0
@@ -236,6 +237,26 @@ class TestMainEntry:
         report = json.loads(capsys.readouterr().out)
         assert "decoherence_error_overlap_form" in report
         assert "decoherence_error_dual_rail_form" in report
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--gamma10", "1e-6"],
+        ["check-oracle"],
+        COMPARE.CASES["sweep-two-point.json"],
+    ], ids=["design", "check-oracle", "sweep-two-point"])
+    def test_verbose_changes_no_other_output(self, tmp_path, capsys, argv):
+        # --verbose adds fields to eval alone: elsewhere stdout, and the
+        # --out file, are byte for byte those of the run without it
+        two_point = tmp_path / "two-point.json"
+        two_point.write_text(json.dumps(COMPARE.TWO_POINT_CONFIG))
+        argv = [a.format(two_point=two_point) for a in argv]
+        out = tmp_path / "out"
+        outputs = []
+        for verbose in ([], ["--verbose"]):
+            assert main(argv + verbose) == 0
+            stdout = capsys.readouterr().out
+            assert main(argv + verbose + ["--out", str(out)]) == 0
+            outputs.append((stdout, capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_kerr_at_zero_detuning_exits_3(self, tmp_path, capsys):
@@ -277,7 +298,7 @@ class TestMainEntry:
         ("eval", {"system": {"omega_a_tilde": 1e160}},
          ("w10_re", "w10_im", "tau_eff", "optimal_nu_c", "asymptotic_nu_c",
           "asymptotic_tau_eff", "gate_time_norm", "kerr_phase_rate"),
-         {"fock_dephasing_bound": fock_dephasing_bound(0.2, PhaseTarget(PI), 100)}),
+         {"fock_dephasing_bound": fock_dephasing_bound(0.2, PI, 100)}),
         ("sweep", {"constraints": {"alpha_b_range": [1, 10]},
                    "sweep": {"quantity": "delta_target", "values": [0.001]}},
          ("gamma_10_over_omega_a", "delta_total", "delta_decoherence", "delta_spread",

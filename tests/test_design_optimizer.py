@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 
 from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, GateModelError,
                      InvalidInput, MonotonicityViolation, NoConvergence, NotAttainable,
-                     OptimizationConstraints, PhaseTarget, RegimeWarning, SweepSpec,
+                     OptimizationConstraints, RegimeWarning, SweepSpec,
                      SystemParams, ZeroPhaseRate,
                      asymptotic_design, base_params, design_point, max_dephasing, optimal_detuning,
                      optimize_design, sweep, tau_eff_at_optimum, w10)
@@ -143,19 +143,15 @@ class TestOptimizeDesign:
     def test_search_cost(self, monkeypatch):
         # the lattice search over alpha_b from the seed, nu_c in closed form,
         # and the certificate: 11 calls measured (7 in the search), bound
-        # with a margin of 3; Brent's bounded method took 11 as well, a
-        # nested Brent search over nu_c 58, a 24-point scan seed 75 and an
-        # integer-then-0.1 grid about 350
+        # with a margin of 3
         calls = _count_delta_calls(monkeypatch)
         optimize_design(1e-6, OptimizationConstraints())
         assert len(calls) <= 14
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
-    def test_one_brent_search_per_search(self, monkeypatch, suppression):
+    def test_one_alpha_b_search_per_search(self, monkeypatch, suppression):
         # the seeds are closed forms: every two-qubit search, forward or
-        # inside the inversion, runs the alpha_b search alone; a numerical
-        # model seed ran its own search beside it, and a root search on top
-        # of that
+        # inside the inversion, runs the alpha_b search alone
         calls = {"searches": 0, "alpha_b": 0}
         search, alpha_b = design_optimizer._two_qubit_optimize, design_optimizer._golden_min
 
@@ -186,7 +182,7 @@ class TestOptimizeDesign:
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_no_worse_than_the_tenth_grid(self, suppression):
-        # the continuous search beats every 0.1-grid alpha_b within +/-1 of
+        # the lattice search beats every 0.1-grid alpha_b within +/-1 of
         # its result, each at the closed-form nu_c as the search itself uses
         cs = OptimizationConstraints(suppression=suppression)
         design, budget = optimize_design(1e-6, cs)
@@ -240,21 +236,19 @@ def _seed_model_error(gamma, alpha, cs):
     from asymptotic_design's tau at the mean component of base_params."""
     p = base_params(cs, gamma)
     mean = replace(p, omega_b_tilde=p.omega_b_tilde * alpha)
-    _, tau = asymptotic_design(mean, PhaseTarget(cs.phi))
+    _, tau = asymptotic_design(mean, cs.phi)
     return 1.0 - math.exp(-2.0 * tau - (cs.phi / alpha) ** 2)
 
 
 class TestGaussianModel:
-    """The closed forms that seed both two-qubit searches: the optimum of the
-    Gaussian (second-cumulant) error model in the strong-drive limit,
-    1 - exp(-2 tau - (phi / alpha_b)^2), against the full searches."""
+    """The strong-drive seeds of both two-qubit searches, `_seed_alpha_b`
+    and `_seed_gamma_10`: closed-form optima of the second-cumulant error
+    model 1 - exp(-2 tau - (phi / alpha_b)^2), against the full searches."""
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     @pytest.mark.parametrize("gamma", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 5e-4])
     def test_matches_the_search(self, gamma, suppression):
-        # measured: alpha_b within 5.9% and delta within 2.6% (a numerical
-        # minimization of the model with the exact tau and s at the mean
-        # component: 6.0% and 2.6%)
+        # measured: alpha_b within 5.9% and delta within 2.6%
         cs = OptimizationConstraints(suppression=suppression)
         design, budget = optimize_design(gamma, cs)
         alpha = design_optimizer._seed_alpha_b(gamma, cs)
@@ -465,39 +459,19 @@ class TestSearchPath:
 
 
 class TestNuSearch:
+    """nu_c in closed form (`optimal_detuning` of the mean component): the
+    one-qubit decoherence floor, and the two-qubit search at each alpha_b."""
+
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_one_qubit_floor_is_closed_form(self, suppression):
         cs = OptimizationConstraints(mode="one-qubit", suppression=suppression)
         ratio = math.sqrt(cs.alpha_c_over_alpha_b ** 2 / cs.omega_b_sq_over_omega_c_sq)
         for gamma in np.geomspace(1e-14, 1e-1, 27):
             mean = replace(base_params(cs, gamma), omega_b_tilde=1.0, omega_c_tilde=ratio)
-            floor = 1.0 - math.exp(-2.0 * tau_eff_at_optimum(mean, PhaseTarget(cs.phi)))
+            floor = 1.0 - math.exp(-2.0 * tau_eff_at_optimum(mean, cs.phi))
             nu, got = design_optimizer._one_qubit_dec_limit(gamma, cs)
             assert nu == optimal_detuning(mean)
             assert got == pytest.approx(floor, rel=1e-14, abs=0.0)
-
-    def test_brent_finds_smooth_minimum(self):
-        # an error whose exponent is e^x - 2x in x = ln nu: asymmetric,
-        # minimum at nu = 2, off the lattice's geometric centre
-        evals = []
-
-        def f(nu):
-            evals.append(nu)
-            return -math.expm1(-(nu - 2.0 * math.log(nu)))
-
-        span = (0.01, 50.0)
-        nu, value = design_optimizer._golden_min(f, span, math.nan)
-        # once per point, and at most two points per step of _last_true
-        assert len(evals) == len(set(evals)) <= 2 * (2 * math.log2(design_optimizer._STEPS) + 2)
-        assert abs(math.log(nu / 2.0)) <= math.log(span[1] / span[0]) / design_optimizer._STEPS
-        assert value == f(nu)
-        _lattice_minimum(f, nu, span)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_brent_monotone_goes_to_bracket_end(self, sign):
-        span = (1e-3, 1e3)
-        nu, _ = design_optimizer._golden_min(lambda nu: sign * nu, span, 1.0)
-        assert nu == (span[0] if sign > 0 else span[1])
 
     @pytest.mark.parametrize("design", _reference_designs(), ids=lambda d: d["id"])
     def test_closed_form_nu_near_the_minimum(self, design):
@@ -514,6 +488,33 @@ class TestNuSearch:
                                        math.log(nu) + 2 * math.log(10)),
                                method="bounded", options={"xatol": 4.4e-5})
         assert closed <= best.fun + 1e-5
+
+
+class TestLatticeMinimum:
+    """`_golden_min`: the local minimum of a gate error on a geometric lattice."""
+
+    def test_finds_smooth_minimum(self):
+        # an error whose exponent is e^y - 2y in y = ln x: asymmetric,
+        # minimum at x = 2, off the lattice's geometric centre
+        evals = []
+
+        def f(x):
+            evals.append(x)
+            return -math.expm1(-(x - 2.0 * math.log(x)))
+
+        span = (0.01, 50.0)
+        x, value = design_optimizer._golden_min(f, span, math.nan)
+        # once per point, and at most two points per step of _last_true
+        assert len(evals) == len(set(evals)) <= 2 * (2 * math.log2(design_optimizer._STEPS) + 2)
+        assert abs(math.log(x / 2.0)) <= math.log(span[1] / span[0]) / design_optimizer._STEPS
+        assert value == f(x)
+        _lattice_minimum(f, x, span)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_goes_to_lattice_end(self, sign):
+        span = (1e-3, 1e3)
+        x, _ = design_optimizer._golden_min(lambda x: sign * x, span, 1.0)
+        assert x == (span[0] if sign > 0 else span[1])
 
 
 class TestMaxDephasing:

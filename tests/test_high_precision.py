@@ -15,9 +15,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from eitgate import (DegenerateDenominator, OptimizationConstraints, PhaseTarget,
-                     SystemParams, base_params, design_point, gate_time, optimal_detuning,
-                     w10)
+from eitgate import (DegenerateDenominator, OptimizationConstraints, SystemParams,
+                     base_params, design_point, gate_time, optimal_detuning, w10)
 from eitgate.core_model import EPS_DEN, _w10_terms
 from eitgate.coherent_gate import (_one_qubit_budget, _poisson_window, _quadrature_budget,
                                    _two_qubit_budget)
@@ -226,7 +225,7 @@ def test_oracle_propagator_at_the_hard_point():
     # check-oracle's 0.1 gamma_20 point over its default span, one gate time,
     # against exp(A t) y0 at 40 digits of the same double-precision generator
     p = replace(SystemParams(), omega_a_tilde=0.1, n_a=1)
-    t_final = gate_time(p, PhaseTarget(math.pi)) / p.omega_a
+    t_final = gate_time(p, math.pi) / p.omega_a
     assert t_final == pytest.approx(9466.67, rel=1e-6)
     y0 = np.array([0.5, 0.0, 0.0, 0.0])
     state = integrate(p, y0, np.array([t_final]))[0]
