@@ -275,7 +275,7 @@ def cmd_check_oracle(config: RunConfig) -> tuple[list[dict], bool]:
         t_final = opts.t_final
         if t_final is None:
             try:
-                t_final = gate_time(p, math.pi) / max(p.omega_a, 1e-300)
+                t_final = gate_time(p, math.pi) / p.omega_a
             except GateModelError:
                 t_final = 200.0 / p.gamma_20 if p.gamma_20 > 0 else 200.0
         rep = verify_qss(p, t_final)

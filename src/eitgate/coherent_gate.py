@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,7 +246,7 @@ def _two_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
     holds the single Fock component n_c.
     """
     nb, pb, *_ = _window(design.alpha_b)
-    return _fock_sum(replace(params, nu_c=design.nu_c), design.time_norm, nb, pb,
+    return _fock_sum(_system_at(params, design.nu_c, 1.0), design.time_norm, nb, pb,
                      np.array([params.n_c]), np.array([1.0]))
 
 
@@ -261,7 +261,7 @@ def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: flo
     mean component, a negative or non-finite time and a non-finite or
     out-of-range fidelity.
     """
-    mean = _mean_component(params, nu_c, alpha_b)
+    mean = _system_at(params, nu_c, alpha_b)
     time_norm = gate_time(mean, phi)
     _check_time(time_norm)
     _, _, sqrt_nb, weights, wsum = _window(alpha_b)
@@ -324,7 +324,7 @@ def _one_qubit_budget(params: SystemParams, design: GateDesign) -> ErrorBudget:
     weight than a window may leave out on one side.
     """
     mu_b, mu_c = design.alpha_b ** 2, design.alpha_c ** 2
-    p = replace(params, nu_c=design.nu_c, n_c=1)
+    p = _system_at(params, design.nu_c, 1.0, 1.0)
     if math.exp(-min(mu_b, mu_c)) <= EPS_TRUNC / 2.0:
         budget = _quadrature_budget(p, design.time_norm, mu_b, mu_c)
         if budget is not None:
@@ -342,17 +342,18 @@ def design_point(params: SystemParams, nu_c: float, alpha_b: float, phi: float,
     Fock component of each coherent mode acquires exactly the target phase;
     alpha_c > 0 makes mode c coherent too (one-qubit gate).
     """
-    time_norm = gate_time(_mean_component(params, nu_c, alpha_b, alpha_c), phi)
+    time_norm = gate_time(_system_at(params, nu_c, alpha_b, alpha_c), phi)
     return GateDesign(nu_c=nu_c, alpha_b=alpha_b, phi=phi, time_norm=time_norm,
                       alpha_c=alpha_c)
 
 
-def _mean_component(params: SystemParams, nu_c: float, alpha_b: float,
-                    alpha_c: float | None = None) -> SystemParams:
-    """The mean Fock component's system: params at nu_c, with alpha_b and a
-    one-qubit point's alpha_c (n_c = 1) folded into the amplitudes.  A view
-    that skips SystemParams' checks, which params passed when it was built;
-    InvalidInput for a non-finite nu_c or amplitude, alpha_b < 0 or alpha_c <= 0.
+def _system_at(params: SystemParams, nu_c: float, alpha_b: float,
+               alpha_c: float | None = None) -> SystemParams:
+    """params at nu_c, with alpha_b and a one-qubit point's alpha_c (n_c = 1)
+    folded into the amplitudes: the mean Fock component's system, and at
+    alpha_b = 1 the per-photon one that the Fock sums scale by sqrt(n).  A
+    view that skips SystemParams' checks, which params passed when it was
+    built; InvalidInput for a non-finite nu_c or amplitude, alpha_b < 0 or alpha_c <= 0.
     """
     _check_alpha_c(alpha_c)
     changes = {"nu_c": nu_c, "omega_b_tilde": params.omega_b_tilde * alpha_b}

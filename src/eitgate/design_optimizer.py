@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analytic_design import _check_phase, optimal_detuning, tau_eff
 from .coherent_gate import (ONE_QUBIT, TWO_QUBIT, ErrorBudget, GateDesign,
-                            _mean_component, _one_qubit_budget, _two_qubit_budget,
+                            _one_qubit_budget, _system_at, _two_qubit_budget,
                             _two_qubit_delta, design_point)
 from .core_model import SystemParams
 from .errors import (GateModelError, InvalidInput, MonotonicityViolation,
@@ -171,7 +171,7 @@ def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
     designs)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        nu = optimal_detuning(_mean_component(params, params.nu_c, alpha_b))
+        nu = optimal_detuning(_system_at(params, params.nu_c, alpha_b))
     return nu, _two_qubit_delta(params, nu, alpha_b, constraints.phi)
 
 
@@ -210,7 +210,7 @@ def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints) ->
     non-finite.
     """
     gamma_20, c = _seed_rates(constraints)
-    phi_sq, x = constraints.phi ** 2, -math.log1p(-delta_target)
+    phi_sq, x = constraints.phi ** 2, _exponent(delta_target)
     b = 3.0 * phi_sq
     u = 2.0 * x / (b + math.sqrt(b * b + 8.0 * phi_sq * gamma_20 / c * x))
     return phi_sq * (gamma_20 + c / u) * u ** 4 / (4.0 * c * c)
@@ -264,20 +264,17 @@ def _certified(params: SystemParams, nu_c: float, alpha_b: float, delta_total: f
 def _one_qubit_dec_limit(gamma_10: float, constraints: OptimizationConstraints):
     """(nu_c, floor): the one-qubit gate's decoherence-only error floor.
 
-    Evaluated at the mean Fock component, which is the large-amplitude limit
-    of the full double sum; the drive intensities enter only through the
-    (alpha_c/alpha_b)^2 ratio, so the floor is amplitude-independent.  nu_c
-    is the closed-form minimizer of tau_eff there, `optimal_detuning`.
+    Taken on the mean Fock component at unit drive, the one builder's
+    (`_system_at`) system at alpha_b = 1: in this large-amplitude limit of the
+    double sum the drives enter only through alpha_c/alpha_b, so the floor is
+    amplitude-independent.  nu_c is `optimal_detuning`, the floor's closed-form minimizer.
     """
     params = base_params(constraints, gamma_10)
-    ratio_sq = (constraints.alpha_c_over_alpha_b ** 2
-                / constraints.omega_b_sq_over_omega_c_sq)
-    # mean-component system with |Omega_c|^2/|Omega_b|^2 fixed at the ratio
-    mean = replace(params, omega_b_tilde=1.0, omega_c_tilde=math.sqrt(ratio_sq), n_c=1)
+    mean = _system_at(params, params.nu_c, 1.0, constraints.alpha_c_over_alpha_b)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         nu = optimal_detuning(mean)
-        tau = tau_eff(replace(mean, nu_c=nu), constraints.phi)
+        tau = tau_eff(_system_at(mean, nu, 1.0), constraints.phi)
     return nu, 1.0 - math.exp(-2.0 * tau)
 
 

@@ -139,6 +139,18 @@ class TestConfigParsing:
             parse_config({"system": {"gamma_20": "fast"}})
         with pytest.raises(ConfigError, match="eval.n_b"):
             parse_config({"eval": {"n_b": 2.5}})
+        for doc, message in (
+                ([], "configuration root must be an object"),
+                ({"system": []}, "'system' must be an object"),
+                ({"verbose": "yes"}, "'verbose' must be a bool, got 'yes'"),
+                ({"format": 1}, "'format' must be a str, got 1"),
+                ({"check_oracle": {"omega_a_scan": 0.1}},
+                 "'check_oracle.omega_a_scan' must be a list, got 0.1"),
+                ({"constraints": {"alpha_b_range": [1]}},
+                 "'constraints.alpha_b_range' must be a list of 2 items, got [1]")):
+            with pytest.raises(ConfigError) as caught:
+                parse_config(doc)
+            assert str(caught.value) == message
 
     def test_null_for_non_optional_key_named(self):
         with pytest.raises(ConfigError, match="system.gamma_20"):
@@ -437,10 +449,16 @@ class TestMainEntry:
         ("eval", {"design": {"delta_target": 0.7}}),
         ("sweep", {"design": {"delta_target": 0.7}}),
         ("check-oracle", {"design": {"delta_target": 0.7}}),
+        ("design", {"constraints": {"omega_a_over_gamma_20": 0}}),
+        ("design", {"constraints": {"omega_b_sq_over_omega_c_sq": -1}}),
+        ("design", {"constraints": {"alpha_c_over_alpha_b": 0}}),
     ], ids=["eval.n_b=0", "eval.n_b=-3", "eval.delta=0", "eval.phi=0",
             "check_oracle.omega_a_scan=-1", "check_oracle.t_final=-5",
             "eval+design.delta_target=0.7", "sweep+design.delta_target=0.7",
-            "check-oracle+design.delta_target=0.7"])
+            "check-oracle+design.delta_target=0.7",
+            "constraints.omega_a_over_gamma_20=0",
+            "constraints.omega_b_sq_over_omega_c_sq=-1",
+            "constraints.alpha_c_over_alpha_b=0"])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(doc))
@@ -454,6 +472,16 @@ class TestMainEntry:
         assert main(["check-oracle", "--config", str(cfg)]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["max_rel_deviation"] < 1e-8
+
+    def test_check_oracle_no_probe_default_time(self, tmp_path, capsys):
+        # gate_time raises ZeroPhaseRate at |Omega_a| = 0, so the run time
+        # falls back to 200 / gamma_20
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"check_oracle": {"omega_a_scan": [0.0]}}))
+        assert main(["check-oracle", "--config", str(cfg)]) == 0
+        report, = json.loads(capsys.readouterr().out)
+        assert report["t_final"] == 200.0
+        assert report["max_rel_deviation"] == 0.0
 
     def test_check_oracle_stiff_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -18,6 +18,7 @@ from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, GateModelEr
                      asymptotic_design, base_params, design_point, max_dephasing, optimal_detuning,
                      optimize_design, sweep, tau_eff_at_optimum, w10)
 from eitgate import coherent_gate, design_optimizer
+from eitgate.cli import main
 from eitgate.coherent_gate import _one_qubit_budget, _two_qubit_budget, _two_qubit_delta
 
 PI = math.pi
@@ -125,6 +126,28 @@ class TestOptimizeDesign:
                           (design.nu_c, design.alpha_b * 1.05)):
             perturbed = _two_qubit_budget(p, design_point(p, nu, alpha, cs.phi))
             assert perturbed.delta_total >= budget.delta_total - 1e-4
+
+    @pytest.mark.parametrize("nu_scale, alpha_scale", [(1.0, 1.05), (0.95, 1.0)],
+                             ids=["alpha_b*1.05", "nu_c*0.95"])
+    def test_certificate_failure_raises(self, monkeypatch, capsys, nu_scale, alpha_scale):
+        # one perturbed probe, matched by its exact nu_c and alpha_b, reads twice
+        # the slack below the search's own error: the library raises, and
+        # the command exits 3 with the message
+        cs = OptimizationConstraints(suppression=1.0)
+        _, nu, alpha, delta = design_optimizer._two_qubit_optimize(1e-6, cs)
+        probe = (nu * nu_scale, alpha * alpha_scale)
+        delta_at = design_optimizer._two_qubit_delta
+
+        def lowered(params, nu_c, alpha_b, phi):
+            if (nu_c, alpha_b) == probe:
+                return delta - 2.0 * design_optimizer._CERT_SLACK
+            return delta_at(params, nu_c, alpha_b, phi)
+
+        monkeypatch.setattr(design_optimizer, "_two_qubit_delta", lowered)
+        with pytest.raises(NoConvergence, match="local-minimum certificate failed"):
+            optimize_design(1e-6, cs)
+        assert main(["design", "--gamma10", "1e-6"]) == 3
+        assert "NoConvergence: local-minimum certificate failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_seeded_by_closed_form_when_dephasing_dominates(self, suppression):
@@ -839,3 +862,20 @@ class TestMonotonicityAudit:
         rows = sweep(SweepSpec("gamma_10", gammas), self.SETS[:1])
         assert [r.status for r in rows] == ["ok", "NoConvergence", "ok"]
         assert math.isnan(rows[1].delta_total)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sweep(SweepSpec("gamma_10", (1e-6,)), []), InvalidInput,
+     "no constraint sets given"),
+    (lambda: design_optimizer.min_alpha_b(base_params(OptimizationConstraints(), 1e-6),
+                                          PI, 1.0, 1.0, 10.0),
+     InvalidInput, r"delta_target must be in \(0, 1\), got 1.0"),
+    # at gamma_10 = 0.1 and |Omega~_a| = 0.01 gamma_20, tau_eff is so large
+    # that the floor 1 - exp(-2 tau) rounds to 1.0
+    (lambda: optimize_design(0.1, OptimizationConstraints(mode="one-qubit",
+                                                          omega_a_over_gamma_20=0.01)),
+     NoConvergence, "one-qubit decoherence floor 1.0 out of range"),
+], ids=["sweep-no-sets", "min_alpha_b-target-1", "one-qubit-floor-1"])
+def test_library_failure_named(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
