@@ -27,7 +27,7 @@ from .errors import InvalidInput
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
-WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs build 43, reuse 21
+WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs build 27, reuse 10
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"

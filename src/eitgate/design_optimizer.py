@@ -7,9 +7,10 @@ are deterministic and share one engine: `_last_true` walks a fixed geometric
 lattice by safeguarded secant steps from a closed-form estimate, and returns
 the point a bisection of the whole lattice returns.  alpha_b is the lattice
 local minimum of the total error, found from the strong-drive closed-form
-optimum (`_seed_alpha_b`), with nu_c at each point the closed-form optimum
-`optimal_detuning` of the mean Fock component.  The inversion and the
-one-qubit amplitude search find the last lattice point that meets a target.
+optimum (`_seed_alpha_b`, rescaled by what the inversion's earlier searches
+found), with nu_c at each point the closed-form optimum `optimal_detuning`
+of the mean Fock component.  The inversion and the one-qubit amplitude
+search find the last lattice point that meets a target.
 """
 
 from __future__ import annotations
@@ -144,7 +145,10 @@ def _golden_min(f, span, guess: float):
     and steps on the difference of ln(-ln(1 - f)) from k to k + 1, whose
     slope per unit ln x at the minimum is 2 for the exponent 2 tau +
     (phi / alpha_b)^2 of the strong-drive error model.  f is evaluated once
-    per point.
+    per point.  In `design --delta 0.2` that is 7 times from `_seed_alpha_b`,
+    which misses the lattice minimum by 88 indices at suppression 1 and 44 at
+    1e-3, and 3 or 4 times from `max_dephasing`'s warm starts, which land
+    within one index of it.
     """
     values = {}
 
@@ -202,41 +206,56 @@ def _seed_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> floa
         y -= step
 
 
-def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints) -> float:
-    """gamma_10 at which `_seed_alpha_b`'s optimum meets delta_target: there
-    the exponent 3 phi^2 u + (2 phi^2 gamma_20 / c) u^2, u = 1/alpha_b^2,
-    equals x = -ln(1 - delta_target), and gamma_10 = phi^2 (gamma_20 + c/u)
-    u^4 / (4 c^2).  Only a seed: it may raise ArithmeticError or be 0 or
+def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints
+                   ) -> tuple[float, float]:
+    """(gamma_10, slope): the gamma_10 at which `_seed_alpha_b`'s optimum
+    meets delta_target, and there the slope d ln x / d ln gamma_10 of the
+    model.  At that optimum the exponent b u + a u^2, u = 1/alpha_b^2,
+    b = 3 phi^2 and a = 2 phi^2 gamma_20 / c, equals x = -ln(1 - delta_target),
+    and gamma_10 = phi^2 (gamma_20 + c/u) u^4 / (4 c^2); so the slope is
+    (d ln x / d ln u) / (4 - (c/u) / (gamma_20 + c/u)), with d ln x / d ln u
+    = 1 + a u^2 / x.  Only a seed: it may raise ArithmeticError or be 0 or
     non-finite.
     """
     gamma_20, c = _seed_rates(constraints)
     phi_sq, x = constraints.phi ** 2, _exponent(delta_target)
-    b = 3.0 * phi_sq
-    u = 2.0 * x / (b + math.sqrt(b * b + 8.0 * phi_sq * gamma_20 / c * x))
-    return phi_sq * (gamma_20 + c / u) * u ** 4 / (4.0 * c * c)
+    a, b = 2.0 * phi_sq * gamma_20 / c, 3.0 * phi_sq
+    u = 2.0 * x / (b + math.sqrt(b * b + 4.0 * a * x))
+    drive = c / u
+    slope = (1.0 + a * u * u / x) / (4.0 - drive / (gamma_20 + drive))
+    return phi_sq * (gamma_20 + drive) * u ** 4 / (4.0 * c * c), slope
 
 
-def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints):
+def _cold_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
+    """`_seed_alpha_b`, or nan where it fails: the alpha_b search's start
+    when no earlier search informs it."""
+    try:
+        return _seed_alpha_b(gamma_10, constraints)
+    except ArithmeticError:
+        return math.nan
+
+
+def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
+                        guess: float | None = None):
     """(params, nu_c, alpha_b, delta_total): the local minimum of the total
     error over the lattice of alpha_b_range, nu_c in closed form.
 
-    `_golden_min` starts at `_seed_alpha_b` and ranks every point by
-    _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu).  The
-    result is a lattice point and the search's own error there; `_certified`
-    turns it into a design.
+    `_golden_min` starts at guess, by default `_seed_alpha_b` (the range's
+    centre where it fails), and ranks every point by _two_qubit_delta at the
+    closed-form nu_c (_two_qubit_min_nu).  The result does not depend on the
+    start where the error is unimodal on the lattice.  It is a lattice point
+    and the search's own error there; `_certified` turns it into a design.
     """
     params = base_params(constraints, gamma_10)
-    try:
-        seed = _seed_alpha_b(gamma_10, constraints)
-    except ArithmeticError:
-        seed = math.nan
+    if guess is None:
+        guess = _cold_alpha_b(gamma_10, constraints)
     found = {}   # alpha_b -> nu_c
 
     def at_min_nu(alpha):
         found[alpha], delta = _two_qubit_min_nu(params, alpha, constraints)
         return delta
 
-    alpha, delta = _golden_min(at_min_nu, constraints.alpha_b_range, seed)
+    alpha, delta = _golden_min(at_min_nu, constraints.alpha_b_range, guess)
     return params, found[alpha], alpha, delta
 
 
@@ -417,14 +436,20 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     The lattice is gamma_k = 1e-14 (1e13)^(k / _STEPS), spanning
     _GAMMA_SPAN = [1e-14, 1e-1]; the result is its largest point whose
     optimized error is at most delta_target, provided that error is monotone
-    nondecreasing in the dephasing.  `_last_true` steps on ln(-ln(1 - delta)),
-    of slope about 1/2 per unit ln gamma_10: in two-qubit mode from the
-    strong-drive closed form's inverse (`_seed_gamma_10`), each point a full
-    search; where that seed fails, and in one-qubit mode (on the decoherence
-    floor), from the lattice's centre.  Returns (gamma_10, design, budget); a
-    two-qubit point is ranked on its search's own delta_total, and only the
-    search at the result is certified and built (`_certified`); its
-    delta_total is at most delta_target.
+    nondecreasing in the dephasing.  `_last_true` steps on ln(-ln(1 - delta)).
+    In two-qubit mode it starts from the strong-drive closed form's inverse
+    (`_seed_gamma_10`) with that model's slope there (0.33 to 0.44 per unit
+    ln gamma_10 at delta_target 0.2), and each point is a full search.  The
+    first alpha_b search starts from `_seed_alpha_b`; every later one, from
+    its own seed times the ratio of the alpha_b found to the seed in the
+    search before it, since that ratio barely moves between the points of one
+    call.  Nothing is kept between calls.  Where the gamma_10 seed fails, and
+    in one-qubit mode (on the decoherence floor), the search starts from the
+    lattice's centre with slope 1/2.  At delta_target 0.2 an inversion runs 3
+    searches: the first makes 7 objective calls, each later one 3 or 4.
+    Returns (gamma_10, design, budget); a two-qubit point is ranked on its
+    search's own delta_total, and only the search at the result is certified
+    and built (`_certified`); its delta_total is at most delta_target.
 
     Raises
     ------
@@ -436,24 +461,28 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
         fails to certify.
     """
     _check_design_value("delta_target", delta_target)
-    searches = {}
+    searches, ratio = {}, 1.0   # ratio: alpha_b found / seed in the last search
 
     def meets(k: int) -> tuple[bool, float]:
+        nonlocal ratio
         gamma = _lattice(k)
         if constraints.mode == ONE_QUBIT:
             delta = _one_qubit_dec_limit(gamma, constraints)[1]
         else:
-            searches[k] = _two_qubit_optimize(gamma, constraints)
+            seed = _cold_alpha_b(gamma, constraints)
+            searches[k] = _two_qubit_optimize(gamma, constraints, seed * ratio)
             delta = searches[k][3]
+            if 0.0 < seed < math.inf:
+                ratio = searches[k][2] / seed
         return delta <= delta_target, _log_gap(_exponent(delta), _exponent(delta_target))
 
-    guess = math.nan
+    guess, slope = math.nan, 0.5
     if constraints.mode == TWO_QUBIT:
         try:
-            guess = _seed_gamma_10(delta_target, constraints)
+            guess, slope = _seed_gamma_10(delta_target, constraints)
         except ArithmeticError:
             pass
-    k = _last_true(meets, _GAMMA_SPAN, guess, slope=0.5)
+    k = _last_true(meets, _GAMMA_SPAN, guess, slope)
     if k < 0:
         raise NotAttainable(f"error floor at gamma_10 = {_GAMMA_SPAN[0]} already "
                             f"exceeds {delta_target}")

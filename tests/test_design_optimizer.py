@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import random
@@ -65,6 +66,19 @@ class TestConstraints:
 def _no_seed(value, cs):
     # how a seed fails where 4 c^2 gamma_10 underflows (suppression 1e-200)
     raise ZeroDivisionError("float division by zero")
+
+
+INVERSION_TARGETS = [0.05, 0.198, 0.2, 0.202, 0.3]   # 0.198 and 0.202: invert-2q's band
+
+
+def _cold_starts(monkeypatch):
+    """Keep one inversion from carrying anything between its searches:
+    every alpha_b search starts from its own seed, and the gamma_10
+    search's first slope is 1/2."""
+    search, seed = design_optimizer._two_qubit_optimize, design_optimizer._seed_gamma_10
+    monkeypatch.setattr(design_optimizer, "_two_qubit_optimize",
+                        lambda gamma, cs, guess: search(gamma, cs))
+    monkeypatch.setattr(design_optimizer, "_seed_gamma_10", lambda t, cs: (seed(t, cs)[0], 0.5))
 
 
 def _reference_designs():
@@ -297,7 +311,7 @@ class TestGaussianModel:
     def test_gamma_10_matches_the_inversion(self, target, suppression):
         # measured: within 7.4%, at suppression 1 and target 0.3
         cs = OptimizationConstraints(suppression=suppression)
-        seed = design_optimizer._seed_gamma_10(target, cs)
+        seed, _ = design_optimizer._seed_gamma_10(target, cs)
         assert abs(seed / max_dephasing(target, cs)[0] - 1.0) <= 0.10
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3, 1e-8])
@@ -307,9 +321,24 @@ class TestGaussianModel:
         # the forward seed's optimum at the inversion seed's gamma_10 meets
         # the target in the model both are written from
         cs = OptimizationConstraints(suppression=suppression, phi=phi)
-        gamma = design_optimizer._seed_gamma_10(target, cs)
+        gamma, _ = design_optimizer._seed_gamma_10(target, cs)
         alpha = design_optimizer._seed_alpha_b(gamma, cs)
         assert _seed_model_error(gamma, alpha, cs) == pytest.approx(target, rel=1e-12)
+
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3, 1e-8])
+    @pytest.mark.parametrize("phi", [PI, PI / 2])
+    @pytest.mark.parametrize("target", [0.05, 0.2, 0.3])
+    def test_gamma_10_slope(self, target, phi, suppression):
+        # the closed-form first slope of the gamma_10 search is d ln x / d ln
+        # gamma_10 along the seed's inverse, x = -ln(1 - delta): against a
+        # central difference over targets x (1 +/- 1e-5)
+        cs = OptimizationConstraints(suppression=suppression, phi=phi)
+        x = -math.log1p(-target)
+        _, slope = design_optimizer._seed_gamma_10(target, cs)
+        gammas = [design_optimizer._seed_gamma_10(-math.expm1(-x * (1.0 + h)), cs)[0]
+                  for h in (1e-5, -1e-5)]
+        central = math.log((1.0 + 1e-5) / (1.0 - 1e-5)) / math.log(gammas[0] / gammas[1])
+        assert slope == pytest.approx(central, rel=1e-8)
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3, 1e-8])
     def test_alpha_b_minimizes_the_model(self, suppression):
@@ -588,11 +617,11 @@ class TestMaxDephasing:
         assert len(windows) == len(alphas)
         assert len(alphas) <= coherent_gate._window.cache_info().maxsize
         assert budget.delta_total <= 0.2 * 1.01
-        # the seed's point, then secant steps to the threshold and its
-        # neighbour: 4 measured here and at most 4 over targets 0.05 to 0.3
-        # at both suppressions, bound with a margin of 1; the search at the
-        # final gamma_10 is reused
-        assert len(searches) <= 5
+        # the seed's point, then secant steps from the seed model's slope to
+        # the threshold and its neighbour: 3 measured here and at targets
+        # 0.05, 0.198, 0.202 and 0.3 at both suppressions, bound with a
+        # margin of 1; the search at the final gamma_10 is reused
+        assert len(searches) <= 4
         assert searches.count(gamma) == 1
         # the windows outlive the call: an identical call builds none
         windows.clear()
@@ -605,36 +634,82 @@ class TestMaxDephasing:
         assert len(windows) == 1
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
-    @pytest.mark.parametrize("target", [0.05, 0.2])
+    @pytest.mark.parametrize("target", INVERSION_TARGETS)
     def test_seed_leaves_the_result(self, monkeypatch, target, suppression):
-        # with both seeds failing, both searches start from the unseeded
-        # brackets: the range's centre and the whole lattice
+        # the same lattice point with nothing carried between the searches
+        # of the inversion (every alpha_b search from its own seed, the
+        # first gamma_10 slope 1/2), and with both seeds failing, so that
+        # both searches start from the unseeded brackets: the range's centre
+        # and the whole lattice
         cs = OptimizationConstraints(suppression=suppression)
         seeded = max_dephasing(target, cs)[0]
+        _cold_starts(monkeypatch)
+        assert max_dephasing(target, cs)[0] == seeded
+        monkeypatch.undo()
         monkeypatch.setattr(design_optimizer, "_seed_alpha_b", _no_seed)
         monkeypatch.setattr(design_optimizer, "_seed_gamma_10", _no_seed)
         assert max_dephasing(target, cs)[0] == seeded
 
     @pytest.mark.parametrize("factor", [1e3, 1e-3])
     def test_misplaced_seed_reaches_the_same_point(self, monkeypatch, factor):
-        cs = OptimizationConstraints(suppression=1.0)
-        seeded = max_dephasing(0.2, cs)[0]
-        guess = design_optimizer._seed_gamma_10(0.2, cs)
-        monkeypatch.setattr(design_optimizer, "_seed_gamma_10", lambda t, c: guess * factor)
-        assert max_dephasing(0.2, cs)[0] == seeded
+        # a gamma_10 seed three decades off, with the warm starts and the
+        # model's first slope, and without them
+        for target, suppression, cold in itertools.product(
+                INVERSION_TARGETS, (1.0, 1e-3), (False, True)):
+            cs = OptimizationConstraints(suppression=suppression)
+            seeded = max_dephasing(target, cs)[0]
+            guess, slope = design_optimizer._seed_gamma_10(target, cs)
+            with monkeypatch.context() as patched:
+                patched.setattr(design_optimizer, "_seed_gamma_10",
+                                lambda t, c: (guess * factor, slope))
+                if cold:
+                    _cold_starts(patched)
+                assert max_dephasing(target, cs)[0] == seeded
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_inversion_cost(self, monkeypatch, suppression):
-        # measured: 4 and 3 searches, 32 and 25 delta calls, bound with a
-        # margin of one search
+        # measured: 3 and 3 searches, 18 and 17 delta calls (the
+        # certificate's 4 included), bound with a margin of one search,
+        # which costs at most 4 calls once warm
+        measured_searches, measured_calls = {1.0: (3, 18), 1e-3: (3, 17)}[suppression]
         searches = []
         search = design_optimizer._two_qubit_optimize
         monkeypatch.setattr(design_optimizer, "_two_qubit_optimize",
                             lambda *args: searches.append(args) or search(*args))
         calls = _count_delta_calls(monkeypatch)
         max_dephasing(0.2, OptimizationConstraints(suppression=suppression))
-        assert len(searches) <= 5
-        assert len(calls) <= 40
+        assert len(searches) <= measured_searches + 1
+        assert len(calls) <= measured_calls + 4
+
+    def test_benchmark_round_cost(self, monkeypatch):
+        # a seed-0 invert-2q round: design --delta 0.2 at suppressions 1 and
+        # 1e-3; measured: 35 delta calls, bound with a margin of 1
+        calls = _count_delta_calls(monkeypatch)
+        for suppression in (1.0, 1e-3):
+            max_dephasing(0.2, OptimizationConstraints(suppression=suppression))
+        assert len(calls) <= 36
+
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    @pytest.mark.parametrize("target", [0.198, 0.2, 0.202])
+    def test_warm_alpha_b_searches(self, monkeypatch, target, suppression):
+        # every alpha_b search after the first starts from its seed scaled by
+        # the last search's ratio of found alpha_b to seed: measured 7 or 8
+        # objective calls in the first search, then 3 or 4 each
+        evals = []
+        golden = design_optimizer._golden_min
+
+        def counted(f, *args):
+            evals.append(0)
+
+            def objective(alpha):
+                evals[-1] += 1
+                return f(alpha)
+            return golden(objective, *args)
+
+        monkeypatch.setattr(design_optimizer, "_golden_min", counted)
+        max_dephasing(target, OptimizationConstraints(suppression=suppression))
+        assert len(evals) >= 2
+        assert max(evals[1:]) <= 4
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_design_built_once(self, monkeypatch, suppression):
@@ -660,7 +735,7 @@ class TestMaxDephasing:
 
     def test_not_attainable_from_a_seed(self, monkeypatch):
         # a seed far above the floor: the bracket moves down to k = 0
-        monkeypatch.setattr(design_optimizer, "_seed_gamma_10", lambda t, c: 1e-6)
+        monkeypatch.setattr(design_optimizer, "_seed_gamma_10", lambda t, c: (1e-6, 0.5))
         with pytest.raises(NotAttainable, match="1e-14"):
             max_dephasing(0.001, OptimizationConstraints(alpha_b_range=(1.0, 10.0)))
 
@@ -669,7 +744,7 @@ class TestMaxDephasing:
         # the lattice's top, which is returned with a RegimeWarning
         cs = OptimizationConstraints()
         search = design_optimizer._two_qubit_optimize(1e-6, cs)
-        monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", lambda g, c: search)
+        monkeypatch.setattr(design_optimizer, "_two_qubit_optimize", lambda g, c, guess: search)
         with pytest.warns(RegimeWarning, match="bracket top"):
             gamma, design, budget = max_dephasing(0.45, cs)
         assert gamma == 1e-1
