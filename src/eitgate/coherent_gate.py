@@ -27,7 +27,7 @@ from .errors import InvalidInput
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
-WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs build 27, reuse 10
+WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs build 21, reuse 12
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"
@@ -155,12 +155,16 @@ def _poisson_window(mu: float) -> tuple[np.ndarray, np.ndarray, float]:
 def _response_grid(params: SystemParams, omega_b, omega_c):
     """W10 over arrays of effective drive and signal amplitudes.
 
-    Components with a degenerate denominator (possible only in idealized
-    zero-width configurations, e.g. the undriven vacuum component with
-    gamma_20 = 0) are assigned zero response: without drive photons the
-    dispersive mechanism is absent.
+    omega_b is an array; omega_c an array or, for the one signal component
+    of a two-qubit sum, a scalar, which keeps the signal terms of W10
+    scalars.  Both are squared as x * x, which is what numpy's array square
+    computes (Python's x ** 2 can differ in the last bit).  Components with
+    a degenerate denominator (possible only in idealized zero-width
+    configurations, e.g. the undriven vacuum component with gamma_20 = 0)
+    are assigned zero response: without drive photons the dispersive
+    mechanism is absent.
     """
-    num, den, bad = _w10_terms(params, np.asarray(omega_b), np.asarray(omega_c))
+    num, den, bad = _w10_terms(params, omega_b * omega_b, omega_c * omega_c)
     return np.where(bad, 0.0, num) / np.where(bad, 1.0, den)
 
 
@@ -175,9 +179,9 @@ def _overlap(params: SystemParams, nt: float, omega_b, omega_c, weights):
     alone.
     """
     w = _response_grid(params, omega_b, omega_c)
-    phases = -np.real(w) * nt
-    taus = (params.gamma_10 + np.imag(w)) * nt
-    return np.sum(weights * np.exp(-1j * phases - taus)), phases, taus
+    phases = -w.real * nt
+    taus = (params.gamma_10 + w.imag) * nt
+    return (weights * np.exp(-1j * phases - taus)).sum(), phases, taus
 
 
 def _fidelity(m_full, wsum: float) -> float:
@@ -266,27 +270,32 @@ def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: flo
     _check_time(time_norm)
     _, _, sqrt_nb, weights, wsum = _window(alpha_b)
     # _overlap takes the amplitudes as arguments; of mean it reads only the
-    # detunings, the widths and omega_a, which are params' own
+    # detunings, the widths and omega_a, which are params' own.  The signal
+    # is one Fock component, passed as the scalar the full path's array holds
     m, _, _ = _overlap(mean, time_norm / params.omega_a,
                        params.omega_b_tilde * sqrt_nb,
-                       params.omega_c_tilde * np.sqrt(np.array([params.n_c]))[None, :],
-                       weights)
+                       params.omega_c_tilde * math.sqrt(params.n_c), weights)
     fid = _fidelity(m, wsum)
     _check_fidelity(fid)
     return 1.0 - fid ** 2
 
 
-def _gauss_charlier(mu: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_charlier(mu, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the m-point Gauss rule for the Poisson(mu) measure.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     Charlier polynomials (diagonal k + mu, off-diagonal sqrt(k mu)) and the
-    weights the squared first components of its eigenvectors.
+    weights the squared first components of its eigenvectors.  mu may be an
+    array: the rules then stack along its axes, from one eigh call over the
+    stacked matrices, each solved as it would be alone.
     """
     k = np.arange(m, dtype=float)
-    jacobi = np.diag(k + mu) + np.diag(np.sqrt(k[1:] * mu), -1)   # eigh reads the lower half
-    nodes, vectors = np.linalg.eigh(jacobi)
-    return nodes, vectors[0] ** 2
+    mu = np.asarray(mu, dtype=float)[..., None]
+    jacobi = np.zeros(mu.shape[:-1] + (m * m,))   # row-major, flattened
+    jacobi[..., ::m + 1] = k + mu
+    jacobi[..., m::m + 1] = np.sqrt(k[1:] * mu)   # the subdiagonal; eigh reads the lower half
+    nodes, vectors = np.linalg.eigh(jacobi.reshape(mu.shape[:-1] + (m, m)))
+    return nodes, vectors[..., 0, :] ** 2
 
 
 def _quadrature_budget(params: SystemParams, time_norm: float, mu_b: float,
@@ -300,10 +309,10 @@ def _quadrature_budget(params: SystemParams, time_norm: float, mu_b: float,
     """
     previous = None
     for m in GAUSS_ORDERS:
-        nb, pb = _gauss_charlier(mu_b, m)
-        nc, pc = _gauss_charlier(mu_c, m)
-        if not all(np.all(np.isfinite(n) & (n >= 0.0)) for n in (nb, nc)):
+        nodes, weights = _gauss_charlier((mu_b, mu_c), m)
+        if not np.all(np.isfinite(nodes) & (nodes >= 0.0)):
             return None
+        (nb, nc), (pb, pc) = nodes, weights
         budget = _fock_sum(params, time_norm, nb, pb, nc, pc)
         if previous is not None and all(
                 abs(getattr(budget, f) - getattr(previous, f)) <= EPS_TRUNC

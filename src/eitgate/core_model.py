@@ -81,24 +81,26 @@ class SystemParams:
         return np.float64(self.omega_c_tilde * math.sqrt(self.n_c))
 
 
-def _w10_terms(params: SystemParams, omega_b, omega_c):
+def _w10_terms(params: SystemParams, omega_b_sq, omega_c_sq):
     """Numerator, denominator and degeneracy flag of W10.
 
-    omega_b and omega_c are the effective drive and signal amplitudes; they
-    may be Python scalars or numpy arrays (one entry per Fock component).
-    Plain operators and builtin abs keep scalars free of numpy overhead.  The
-    flag is set where the denominator is at most EPS_DEN times the scale of
-    its terms, which includes an exactly vanishing scale.
+    omega_b_sq and omega_c_sq are the squared effective drive and signal
+    amplitudes, squared by the caller; each may be a scalar or a numpy
+    array (one entry per Fock component), and only the terms that depend on
+    an array are arrays.  Plain operators and builtin abs keep scalars free
+    of numpy overhead.  The flag is set where the denominator is at most
+    EPS_DEN times the scale of its terms, which includes an exactly
+    vanishing scale.
     """
     d3 = params.nu_a - params.nu_b
     d4 = d3 + params.nu_c
     a3 = d3 + 1j * params.gamma_30
     a4 = d4 + 1j * params.gamma_40
-    bracket = a3 * a4 - omega_c ** 2
+    bracket = a3 * a4 - omega_c_sq
     num = -bracket * params.omega_a ** 2
     a2_bracket = (params.nu_a + 1j * params.gamma_20) * bracket
-    den = a2_bracket - a4 * omega_b ** 2
-    scale = abs(a2_bracket) + abs(a4) * omega_b ** 2
+    den = a2_bracket - a4 * omega_b_sq
+    scale = abs(a2_bracket) + abs(a4) * omega_b_sq
     return num, den, abs(den) <= EPS_DEN * scale
 
 
@@ -115,7 +117,7 @@ def w10(params: SystemParams) -> complex:
         If the response denominator is at most EPS_DEN times the scale of
         its terms (an exactly singular or unphysical parameter point).
     """
-    num, den, degenerate = _w10_terms(params, params.omega_b, params.omega_c)
+    num, den, degenerate = _w10_terms(params, params.omega_b ** 2, params.omega_c ** 2)
     if degenerate:
         raise DegenerateDenominator(
             f"w10: |denominator|={abs(den):.3e} at or below {EPS_DEN:.0e} x its scale")

@@ -32,6 +32,7 @@ _STEPS = 2 ** 14  # geometric steps of every lattice
 _GAMMA_SPAN = (1e-14, 1e-1)   # the lattice of max_dephasing
 _MIN_ALPHA_SPAN = (0.5, 400.0)   # the lattice of min_alpha_b
 _CERT_SLACK = 1e-4
+_SPREAD_KNEE = 1.0 / 64.0   # u = 1/alpha_b^2 above which the seeds' spread term is linear
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,12 @@ def _golden_min(f, span, guess: float):
     and steps on the difference of ln(-ln(1 - f)) from k to k + 1, whose
     slope per unit ln x at the minimum is 2 for the exponent 2 tau +
     (phi / alpha_b)^2 of the strong-drive error model.  f is evaluated once
-    per point.  In `design --delta 0.2` that is 7 times from `_seed_alpha_b`,
-    which misses the lattice minimum by 88 indices at suppression 1 and 44 at
-    1e-3, and 3 or 4 times from `max_dephasing`'s warm starts, which land
-    within one index of it.
+    per point.  In `design --delta 0.2` the first search starts from
+    `_seed_alpha_b`, within one index of the lattice minimum at suppression
+    1 (4 calls) and 17 indices below it at 1e-3 (7 calls), and every later
+    one from `max_dephasing`'s warm start, within one index (3 calls).  The
+    one search of `design --gamma10` makes 3 or 4 from gamma_10 1e-10 to
+    1e-6 at both suppressions.
     """
     values = {}
 
@@ -172,10 +175,9 @@ def _two_qubit_min_nu(params: SystemParams, alpha_b: float,
                       constraints: OptimizationConstraints):
     """(nu_c, delta_total) at alpha_b, nu_c the closed-form optimum of the
     mean component (at most 1.2e-6 above the minimum over nu_c at the fig2
-    designs)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        nu = optimal_detuning(_system_at(params, params.nu_c, alpha_b))
+    designs).  `optimal_detuning` may warn out of its regime; the caller
+    silences RegimeWarning (`_two_qubit_optimize`, once per search)."""
+    nu = optimal_detuning(_system_at(params, params.nu_c, alpha_b))
     return nu, _two_qubit_delta(params, nu, alpha_b, constraints.phi)
 
 
@@ -186,21 +188,41 @@ def _seed_rates(constraints: OptimizationConstraints) -> tuple[float, float]:
     return gamma_20, constraints.suppression * gamma_20 * constraints.omega_b_sq_over_omega_c_sq
 
 
+def _spread(u: float) -> tuple[float, float]:
+    """(S, dS/du): the phase spread of the seeds' error model over phi^2,
+    at u = 1/alpha_b^2.  S = u + 6 u^2 is the second cumulant of mu/n for
+    Poisson n, 1/mu + 6/mu^2 + O(mu^-3), mu = alpha_b^2; above _SPREAD_KNEE
+    (alpha_b below 8) it goes on along its tangent, so that its slope
+    S' <= 1 + 12/64 stops growing where the expansion stops holding.  At
+    phi = pi the exact Kerr-limit spread is 1.089 times its first term at
+    alpha_b 8, against the expansion's 1.094, but 1.17 against 1.24 at
+    alpha_b 5; unbounded, the term put the seed 14% above the searched
+    alpha_b at suppression 1 and gamma_10 5e-4 (4.9% with the knee).
+    """
+    v = min(u, _SPREAD_KNEE)
+    return u + 6.0 * v * (2.0 * u - v), 1.0 + 12.0 * v
+
+
 def _seed_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
-    """alpha_b minimizing the strong-drive error model 2 tau + (phi / alpha_b)^2:
+    """alpha_b minimizing the strong-drive error model 2 tau + phi^2 S(u):
     tau = 2 phi sqrt(gamma_10 (gamma_20 + c alpha_b^2)) is `asymptotic_design`'s
-    exposure at the mean component, (phi / alpha_b)^2 the phase spread in the
-    Kerr limit Re W10 ~ 1/n_b.  y = alpha_b^2 is the positive root of the
-    convex 4 c^2 gamma_10 y^4 - phi^2 (c y + gamma_20), by Newton's method
-    from twice the larger one-term root, down until the iterates stop
-    falling.  Only a seed: it may raise ArithmeticError or be non-finite.
+    exposure at the mean component, phi^2 S the phase spread in the Kerr
+    limit Re W10 ~ 1/n_b (`_spread`), u = 1/alpha_b^2.  y = alpha_b^2 is the
+    positive root of the convex 4 c^2 gamma_10 y^4 - phi^2 (c y + gamma_20)
+    S'(1/y)^2, by Newton's method from twice the larger one-term root of the
+    model without the 6 u^2 term (S' = 1), which lies above the root since
+    S'^2 < 16/3, down until the iterates stop falling.  Only a seed: it may
+    raise ArithmeticError or be non-finite.
     """
     gamma_20, c = _seed_rates(constraints)
     phi_sq, quartic = constraints.phi ** 2, 4.0 * c * c * gamma_10
     y = 2.0 * max((phi_sq * c / quartic) ** (1 / 3), (phi_sq * gamma_20 / quartic) ** 0.25)
     while True:
-        step = ((quartic * y ** 4 - phi_sq * (c * y + gamma_20))
-                / (4.0 * quartic * y ** 3 - phi_sq * c))
+        u = 1.0 / y
+        slope = _spread(u)[1]
+        bend = 24.0 * u * u * (gamma_20 + c * y) if u < _SPREAD_KNEE else 0.0
+        step = ((quartic * y ** 4 - phi_sq * (c * y + gamma_20) * slope * slope)
+                / (4.0 * quartic * y ** 3 - phi_sq * slope * (c * slope - bend)))
         if not y - step < y:
             return math.sqrt(y)
         y -= step
@@ -210,20 +232,41 @@ def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints
                    ) -> tuple[float, float]:
     """(gamma_10, slope): the gamma_10 at which `_seed_alpha_b`'s optimum
     meets delta_target, and there the slope d ln x / d ln gamma_10 of the
-    model.  At that optimum the exponent b u + a u^2, u = 1/alpha_b^2,
-    b = 3 phi^2 and a = 2 phi^2 gamma_20 / c, equals x = -ln(1 - delta_target),
-    and gamma_10 = phi^2 (gamma_20 + c/u) u^4 / (4 c^2); so the slope is
-    (d ln x / d ln u) / (4 - (c/u) / (gamma_20 + c/u)), with d ln x / d ln u
-    = 1 + a u^2 / x.  Only a seed: it may raise ArithmeticError or be 0 or
-    non-finite.
+    model.  At that optimum, with u = 1/alpha_b^2, r = gamma_20 / c and
+    (S, S') = `_spread`(u), gamma_10 = phi^2 (gamma_20 + c/u) u^4 S'^2 /
+    (4 c^2) and the exponent is x = phi^2 X(u), X = S + 2 u S' (1 + r u):
+    3u + (2r + 30) u^2 + 24 r u^3 up to _SPREAD_KNEE, beyond it
+    3 s u + 2 s r u^2 - 6 k^2 with k the knee and s = 1 + 12 k.  X is
+    increasing, so u solves X(u) = x/phi^2: in closed form beyond the knee,
+    by Newton's method down from the knee below it.  The slope is
+    (d ln x / d ln u) / (4 + 2 u S'' / S' - (c/u) / (gamma_20 + c/u)), with
+    d ln x / d ln u = u (3 S' + 4 r u S' + 2 u S'' (1 + r u)) / X.  Only a
+    seed: it may raise ArithmeticError or be 0 or non-finite.
     """
     gamma_20, c = _seed_rates(constraints)
     phi_sq, x = constraints.phi ** 2, _exponent(delta_target)
-    a, b = 2.0 * phi_sq * gamma_20 / c, 3.0 * phi_sq
-    u = 2.0 * x / (b + math.sqrt(b * b + 4.0 * a * x))
+    r, k = gamma_20 / c, _SPREAD_KNEE
+    level = x / phi_sq
+    knee = 3.0 * k + (2.0 * r + 30.0) * k * k + 24.0 * r * k ** 3
+    if level >= knee:
+        s = 1.0 + 12.0 * k
+        u = 2.0 * (level + 6.0 * k * k) / (3.0 * s + math.sqrt(
+            9.0 * s * s + 8.0 * s * r * (level + 6.0 * k * k)))
+    else:
+        u = k
+        while True:
+            step = ((3.0 * u + (2.0 * r + 30.0) * u * u + 24.0 * r * u ** 3 - level)
+                    / (3.0 + (4.0 * r + 60.0) * u + 72.0 * r * u * u))
+            if not u - step < u:
+                break
+            u -= step
+    spread, s = _spread(u)
+    curve = 12.0 if u < k else 0.0   # S''
     drive = c / u
-    slope = (1.0 + a * u * u / x) / (4.0 - drive / (gamma_20 + drive))
-    return phi_sq * (gamma_20 + drive) * u ** 4 / (4.0 * c * c), slope
+    grows = u * (3.0 * s + 4.0 * r * u * s + 2.0 * u * curve * (1.0 + r * u)) / (
+        spread + 2.0 * u * s * (1.0 + r * u))
+    slope = grows / (4.0 + 2.0 * u * curve / s - drive / (gamma_20 + drive))
+    return phi_sq * (gamma_20 + drive) * (u * u * s) ** 2 / (4.0 * c * c), slope
 
 
 def _cold_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
@@ -242,9 +285,10 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
 
     `_golden_min` starts at guess, by default `_seed_alpha_b` (the range's
     centre where it fails), and ranks every point by _two_qubit_delta at the
-    closed-form nu_c (_two_qubit_min_nu).  The result does not depend on the
-    start where the error is unimodal on the lattice.  It is a lattice point
-    and the search's own error there; `_certified` turns it into a design.
+    closed-form nu_c (_two_qubit_min_nu), with RegimeWarning silenced for
+    the whole search.  The result does not depend on the start where the
+    error is unimodal on the lattice.  It is a lattice point and the
+    search's own error there; `_certified` turns it into a design.
     """
     params = base_params(constraints, gamma_10)
     if guess is None:
@@ -255,7 +299,9 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
         found[alpha], delta = _two_qubit_min_nu(params, alpha, constraints)
         return delta
 
-    alpha, delta = _golden_min(at_min_nu, constraints.alpha_b_range, guess)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        alpha, delta = _golden_min(at_min_nu, constraints.alpha_b_range, guess)
     return params, found[alpha], alpha, delta
 
 
@@ -446,7 +492,8 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     call.  Nothing is kept between calls.  Where the gamma_10 seed fails, and
     in one-qubit mode (on the decoherence floor), the search starts from the
     lattice's centre with slope 1/2.  At delta_target 0.2 an inversion runs 3
-    searches: the first makes 7 objective calls, each later one 3 or 4.
+    searches: the first makes 4 objective calls at suppression 1 and 7 at
+    1e-3, each later one 3.
     Returns (gamma_10, design, budget); a two-qubit point is ranked on its
     search's own delta_total, and only the search at the result is certified
     and built (`_certified`); its delta_total is at most delta_target.

@@ -217,7 +217,7 @@ def test_w10_near_the_degeneracy_threshold():
     assert degenerate.count(True) == 6
     # the array path flags the same points as the scalar one
     omega_b = np.array([p.omega_b_tilde for p in points])
-    _, _, flags = _w10_terms(points[0], omega_b, points[0].omega_c)
+    _, _, flags = _w10_terms(points[0], omega_b ** 2, points[0].omega_c ** 2)
     assert list(flags) == degenerate
 
 
