@@ -27,7 +27,7 @@ from .errors import InvalidInput
 
 EPS_TRUNC = 1e-10          # Poisson mass each Fock sum may leave out
 GAUSS_ORDERS = (8, 16, 32, 64)   # Gauss-Charlier orders tried per axis, in turn
-WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs build 21, reuse 12
+WINDOW_CACHE = 1024        # mode-b windows kept; two design --delta runs build 19, reuse 12
 
 TWO_QUBIT = "two-qubit"
 ONE_QUBIT = "one-qubit"
@@ -162,9 +162,13 @@ def _response_grid(params: SystemParams, omega_b, omega_c):
     a degenerate denominator (possible only in idealized zero-width
     configurations, e.g. the undriven vacuum component with gamma_20 = 0)
     are assigned zero response: without drive photons the dispersive
-    mechanism is absent.
+    mechanism is absent.  Where none is flagged, which _w10_terms' bound
+    settles for a scalar omega_c without a per-component test, num / den is
+    divided as it stands.
     """
     num, den, bad = _w10_terms(params, omega_b * omega_b, omega_c * omega_c)
+    if bad is False or not bad.any():
+        return num / den
     return np.where(bad, 0.0, num) / np.where(bad, 1.0, den)
 
 
@@ -174,14 +178,16 @@ def _overlap(params: SystemParams, nt: float, omega_b, omega_c, weights):
     The one Fock-sum kernel.  Component n has the exact response at drive
     omega_b[n] and signal omega_c[n] (broadcast against each other) and
     picks up the phase phi_n and the damping tau_n over nt = N t.  Returns
-    the sum with the phases and damping exponents, from which _fock_sum adds
-    the spread-only and damping-only sums; _two_qubit_delta needs the sum
-    alone.
+    the sum with the exponents z_n = -i phi_n - tau_n, from which _fock_sum
+    adds the spread-only and damping-only sums; _two_qubit_delta needs the
+    sum alone.  z is one complex product, (W10 + i gamma_10) (i nt): its
+    imaginary part is Re W10 nt = -phi_n and its real part -(gamma_10 +
+    Im W10) nt = -tau_n, the same bits as the two real products, since each
+    extra product is an exact zero.
     """
     w = _response_grid(params, omega_b, omega_c)
-    phases = -w.real * nt
-    taus = (params.gamma_10 + w.imag) * nt
-    return (weights * np.exp(-1j * phases - taus)).sum(), phases, taus
+    z = (w + 1j * params.gamma_10) * (1j * nt)
+    return (weights * np.exp(z)).sum(), z
 
 
 def _fidelity(m_full, wsum: float) -> float:
@@ -211,10 +217,10 @@ def _fock_sum(params: SystemParams, time_norm: float, nb, pb, nc, pc) -> ErrorBu
         rows = slice(i, min(i + block, len(nb)))
         omega_b = params.omega_b_tilde * np.sqrt(nb[rows])[:, None]
         weights = pb[rows][:, None] * pc[None, :]
-        m, phases, taus = _overlap(params, nt, omega_b, omega_c, weights)
+        m, z = _overlap(params, nt, omega_b, omega_c, weights)
         m_full += m
-        m_spread += np.sum(weights * np.exp(-1j * phases))
-        m_damp += float(np.sum(weights * np.exp(-taus)))
+        m_spread += np.sum(weights * np.exp(1j * z.imag))
+        m_damp += float(np.sum(weights * np.exp(z.real)))
         wsum += float(np.sum(weights))
     fid = _fidelity(m_full, wsum)
     return ErrorBudget(
@@ -272,9 +278,9 @@ def _two_qubit_delta(params: SystemParams, nu_c: float, alpha_b: float, phi: flo
     # _overlap takes the amplitudes as arguments; of mean it reads only the
     # detunings, the widths and omega_a, which are params' own.  The signal
     # is one Fock component, passed as the scalar the full path's array holds
-    m, _, _ = _overlap(mean, time_norm / params.omega_a,
-                       params.omega_b_tilde * sqrt_nb,
-                       params.omega_c_tilde * math.sqrt(params.n_c), weights)
+    m, _ = _overlap(mean, time_norm / params.omega_a,
+                    params.omega_b_tilde * sqrt_nb,
+                    params.omega_c_tilde * math.sqrt(params.n_c), weights)
     fid = _fidelity(m, wsum)
     _check_fidelity(fid)
     return 1.0 - fid ** 2

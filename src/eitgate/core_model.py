@@ -91,6 +91,18 @@ def _w10_terms(params: SystemParams, omega_b_sq, omega_c_sq):
     of numpy overhead.  The flag is set where the denominator is at most
     EPS_DEN times the scale of its terms, which includes an exactly
     vanishing scale.
+
+    With omega_b_sq an array and omega_c_sq a scalar (every two-qubit sum),
+    a2_bracket and a4 are single numbers and den = a2_bracket - a4 x runs
+    over real x >= 0, so |den| is at least the distance from a2_bracket to
+    the line a4 R, |Im(conj(a4) a2_bracket)| / |a4|, and every scale is at
+    most |a2_bracket| + |a4| max(x).  Where that distance exceeds twice
+    EPS_DEN times this largest scale, no component is flagged and the flag
+    is False.  The factor 2 covers the rounding of both sides: the
+    distance and den are each off by a few machine epsilons of the scale,
+    over 4,000 times less than the EPS_DEN of it that the factor leaves.
+    The bound fails, and the flags are computed per component, where
+    a4 = 0, an input is not finite, or the widths nearly vanish.
     """
     d3 = params.nu_a - params.nu_b
     d4 = d3 + params.nu_c
@@ -100,6 +112,10 @@ def _w10_terms(params: SystemParams, omega_b_sq, omega_c_sq):
     num = -bracket * params.omega_a ** 2
     a2_bracket = (params.nu_a + 1j * params.gamma_20) * bracket
     den = a2_bracket - a4 * omega_b_sq
+    if isinstance(omega_b_sq, np.ndarray) and not isinstance(bracket, np.ndarray):
+        top = abs(a2_bracket) + abs(a4) * omega_b_sq.max()
+        if abs((a4.conjugate() * a2_bracket).imag) > 2.0 * EPS_DEN * abs(a4) * top:
+            return num, den, False
     scale = abs(a2_bracket) + abs(a4) * omega_b_sq
     return num, den, abs(den) <= EPS_DEN * scale
 

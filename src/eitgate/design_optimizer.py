@@ -135,7 +135,7 @@ def base_params(constraints: OptimizationConstraints, gamma_10: float) -> System
     )
 
 
-def _golden_min(f, span, guess: float):
+def _golden_min(f, span, guess: float, slope: float):
     """(x, f(x)) at the local minimum of the gate error f on the lattice of
     span: the point after the last index k where f falls to k + 1, or
     span[0] if it never falls there.  The alpha_b search runs through it.
@@ -143,15 +143,17 @@ def _golden_min(f, span, guess: float):
     counts its evaluations as `design_optimizer.golden.evals`.
 
     `_last_true` starts at the point nearest guess (the centre without one)
-    and steps on the difference of ln(-ln(1 - f)) from k to k + 1, whose
-    slope per unit ln x at the minimum is 2 for the exponent 2 tau +
-    (phi / alpha_b)^2 of the strong-drive error model.  f is evaluated once
-    per point.  In `design --delta 0.2` the first search starts from
-    `_seed_alpha_b`, within one index of the lattice minimum at suppression
-    1 (4 calls) and 17 indices below it at 1e-3 (7 calls), and every later
-    one from `max_dephasing`'s warm start, within one index (3 calls).  The
-    one search of `design --gamma10` makes 3 or 4 from gamma_10 1e-10 to
-    1e-6 at both suppressions.
+    and steps on the difference of ln(-ln(1 - f)) from k to k + 1, per unit
+    ln x, with slope as its first secant slope: d^2 ln E / d(ln x)^2 of the
+    error exponent E, which the two-qubit search takes from the seeds' model
+    (`_model_curvature`).  f is evaluated once per point.  In `design
+    --delta 0.2` the first search starts from `_seed_alpha_b`, within one
+    index of the lattice minimum at suppression 1 (4 calls, first slope
+    2.13) and 17 indices below it at 1e-3, where the first slope, 0.91, takes
+    the first secant step 16 of them (5 calls).  Every later search starts
+    from `max_dephasing`'s warm start, within one index (3 calls).  The one
+    search of `design --gamma10` makes 3 or 4 from gamma_10 1e-10 to 1e-6
+    at both suppressions.
     """
     values = {}
 
@@ -167,7 +169,7 @@ def _golden_min(f, span, guess: float):
             return False, math.nan
         return at(k + 1) < at(k), _log_gap(_exponent(at(k + 1)), _exponent(at(k))) / dx
 
-    k = _last_true(falls, span, guess, slope=2.0) + 1
+    k = _last_true(falls, span, guess, slope) + 1
     return _lattice(k, span), at(k)
 
 
@@ -188,19 +190,20 @@ def _seed_rates(constraints: OptimizationConstraints) -> tuple[float, float]:
     return gamma_20, constraints.suppression * gamma_20 * constraints.omega_b_sq_over_omega_c_sq
 
 
-def _spread(u: float) -> tuple[float, float]:
-    """(S, dS/du): the phase spread of the seeds' error model over phi^2,
-    at u = 1/alpha_b^2.  S = u + 6 u^2 is the second cumulant of mu/n for
-    Poisson n, 1/mu + 6/mu^2 + O(mu^-3), mu = alpha_b^2; above _SPREAD_KNEE
-    (alpha_b below 8) it goes on along its tangent, so that its slope
-    S' <= 1 + 12/64 stops growing where the expansion stops holding.  At
-    phi = pi the exact Kerr-limit spread is 1.089 times its first term at
-    alpha_b 8, against the expansion's 1.094, but 1.17 against 1.24 at
-    alpha_b 5; unbounded, the term put the seed 14% above the searched
-    alpha_b at suppression 1 and gamma_10 5e-4 (4.9% with the knee).
+def _spread(u: float) -> tuple[float, float, float]:
+    """(S, S', S''): the phase spread of the seeds' error model over phi^2,
+    and its derivatives in u, at u = 1/alpha_b^2.  S = u + 6 u^2 is the
+    second cumulant of mu/n for Poisson n, 1/mu + 6/mu^2 + O(mu^-3), mu =
+    alpha_b^2; above _SPREAD_KNEE (alpha_b below 8) it goes on along its
+    tangent, so that its slope S' <= 1 + 12/64 stops growing where the
+    expansion stops holding.  At phi = pi the exact Kerr-limit spread is
+    1.089 times its first term at alpha_b 8, against the expansion's 1.094,
+    but 1.17 against 1.24 at alpha_b 5; unbounded, the term put the seed 14%
+    above the searched alpha_b at suppression 1 and gamma_10 5e-4 (4.9%
+    with the knee).
     """
     v = min(u, _SPREAD_KNEE)
-    return u + 6.0 * v * (2.0 * u - v), 1.0 + 12.0 * v
+    return u + 6.0 * v * (2.0 * u - v), 1.0 + 12.0 * v, 12.0 if u < _SPREAD_KNEE else 0.0
 
 
 def _seed_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
@@ -219,13 +222,37 @@ def _seed_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> floa
     y = 2.0 * max((phi_sq * c / quartic) ** (1 / 3), (phi_sq * gamma_20 / quartic) ** 0.25)
     while True:
         u = 1.0 / y
-        slope = _spread(u)[1]
-        bend = 24.0 * u * u * (gamma_20 + c * y) if u < _SPREAD_KNEE else 0.0
+        _, slope, curve = _spread(u)
+        bend = 2.0 * curve * u * u * (gamma_20 + c * y)
         step = ((quartic * y ** 4 - phi_sq * (c * y + gamma_20) * slope * slope)
                 / (4.0 * quartic * y ** 3 - phi_sq * slope * (c * slope - bend)))
         if not y - step < y:
             return math.sqrt(y)
         y -= step
+
+
+def _model_curvature(alpha_b: float, gamma_10: float,
+                     constraints: OptimizationConstraints) -> float:
+    """d^2 ln E / d(ln alpha_b)^2 of the seeds' error model E = 2 tau +
+    phi^2 S(u) at alpha_b: the slope per unit ln alpha_b that
+    `_golden_min`'s step function ln E(k + 1) - ln E(k) has there, and so
+    its first secant slope.  With s = ln alpha_b, the drive's share
+    h = c alpha_b^2 / (gamma_20 + c alpha_b^2) of the exposure's width and
+    (S, S', S'') = `_spread`(u): d tau / ds = h tau, d^2 tau / ds^2 =
+    h (2 - h) tau, d S / ds = -2 u S' and d^2 S / ds^2 = 4 u (S' + u S'').
+    At the model's optimum it is 2.13 at suppression 1 and 0.91 at 1e-3 for
+    delta_target 0.2, phi = pi.
+    """
+    gamma_20, c = _seed_rates(constraints)
+    phi_sq, y = constraints.phi ** 2, alpha_b * alpha_b
+    width = gamma_20 + c * y
+    tau, share = 2.0 * constraints.phi * math.sqrt(gamma_10 * width), c * y / width
+    u = 1.0 / y
+    spread, s, curve = _spread(u)
+    error = 2.0 * tau + phi_sq * spread
+    rise = 2.0 * share * tau - 2.0 * phi_sq * u * s
+    bend = 2.0 * share * (2.0 - share) * tau + 4.0 * phi_sq * u * (s + u * curve)
+    return bend / error - (rise / error) ** 2
 
 
 def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints
@@ -260,8 +287,7 @@ def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints
             if not u - step < u:
                 break
             u -= step
-    spread, s = _spread(u)
-    curve = 12.0 if u < k else 0.0   # S''
+    spread, s, curve = _spread(u)
     drive = c / u
     grows = u * (3.0 * s + 4.0 * r * u * s + 2.0 * u * curve * (1.0 + r * u)) / (
         spread + 2.0 * u * s * (1.0 + r * u))
@@ -284,15 +310,21 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
     error over the lattice of alpha_b_range, nu_c in closed form.
 
     `_golden_min` starts at guess, by default `_seed_alpha_b` (the range's
-    centre where it fails), and ranks every point by _two_qubit_delta at the
-    closed-form nu_c (_two_qubit_min_nu), with RegimeWarning silenced for
-    the whole search.  The result does not depend on the start where the
-    error is unimodal on the lattice.  It is a lattice point and the
+    centre where it fails), with the error model's curvature there as its
+    first slope (`_model_curvature`; without a guess 2, the curvature at the
+    optimum of the strong-drive limit 2 tau + (phi / alpha_b)^2), and ranks
+    every point by _two_qubit_delta at the closed-form nu_c
+    (_two_qubit_min_nu), with RegimeWarning silenced for the whole search.
+    The result does not depend on the start where the error is unimodal on
+    the lattice.  It is a lattice point and the
     search's own error there; `_certified` turns it into a design.
     """
     params = base_params(constraints, gamma_10)
     if guess is None:
         guess = _cold_alpha_b(gamma_10, constraints)
+    slope = 2.0
+    if 0.0 < guess < math.inf:
+        slope = _model_curvature(guess, gamma_10, constraints)
     found = {}   # alpha_b -> nu_c
 
     def at_min_nu(alpha):
@@ -301,7 +333,7 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
-        alpha, delta = _golden_min(at_min_nu, constraints.alpha_b_range, guess)
+        alpha, delta = _golden_min(at_min_nu, constraints.alpha_b_range, guess, slope)
     return params, found[alpha], alpha, delta
 
 
@@ -442,9 +474,10 @@ def _last_true(evaluate, span, guess: float, slope: float) -> int:
     bisects a bracket; from the third step on, a step that does not halve
     the bracket is followed by a bisection, except once a unit step beside
     an end, the cheapest test of a threshold the secant creeps up on: at
-    most 2 log2(_STEPS) + 2 evaluations.  In the alpha_b search
+    most 2 log2(_STEPS) + 2 = 30 evaluations.  In the alpha_b search
     (`_golden_min`) an evaluation compares the objective at k and k + 1, so
-    it costs up to two objective calls; neighbouring evaluations share one.
+    it costs up to two objective calls, at most 60 in all; neighbouring
+    evaluations share one.
     """
     dx = math.log(span[1] / span[0]) / _STEPS
     k, slope = _STEPS // 2, slope * dx
@@ -492,8 +525,9 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     call.  Nothing is kept between calls.  Where the gamma_10 seed fails, and
     in one-qubit mode (on the decoherence floor), the search starts from the
     lattice's centre with slope 1/2.  At delta_target 0.2 an inversion runs 3
-    searches: the first makes 4 objective calls at suppression 1 and 7 at
-    1e-3, each later one 3.
+    searches: the first makes 4 objective calls at suppression 1 and 5 at
+    1e-3, each later one 3, so with the certificate's 4 an inversion makes
+    14 and 15 delta calls.
     Returns (gamma_10, design, budget); a two-qubit point is ranked on its
     search's own delta_total, and only the search at the result is certified
     and built (`_certified`); its delta_total is at most delta_target.

@@ -1,8 +1,11 @@
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -15,12 +18,14 @@ from scipy.stats import poisson
 
 import eitgate
 from eitgate import (DegenerateDenominator, ErrorBudget, GateDesign, InvalidInput,
-                     NotAttainable, SystemParams, design_point, min_alpha_b,
-                     optimal_detuning, w10)
+                     NotAttainable, OptimizationConstraints, SystemParams, base_params,
+                     design_point, gate_time, min_alpha_b, optimal_detuning, w10)
 from eitgate import coherent_gate, design_optimizer
 from eitgate.coherent_gate import (EPS_TRUNC, GAUSS_ORDERS, _fock_sum, _gauss_charlier,
                                    _one_qubit_budget, _poisson_window, _quadrature_budget,
-                                   _response_grid, _two_qubit_budget)
+                                   _response_grid, _system_at, _two_qubit_budget,
+                                   _two_qubit_delta)
+from eitgate.core_model import EPS_DEN, _w10_terms
 from conftest import w10_continued_fraction
 
 PI = math.pi
@@ -270,6 +275,170 @@ class TestPerComponentResponse:
         for k in (0, 1, 100, 200, 299):
             scalar = w10(replace(p, omega_b_tilde=p.omega_b_tilde * math.sqrt(k)))
             assert grid[k] == scalar
+
+
+def masked_response(p, omega_b, omega_c):
+    """W10 over a grid as the kernel computed it before its degeneracy
+    bound: the closed form with the degeneracy flag of every component, and
+    the division through both masks."""
+    omega_b_sq, omega_c_sq = omega_b * omega_b, omega_c * omega_c
+    d3 = p.nu_a - p.nu_b
+    d4 = d3 + p.nu_c
+    a3 = d3 + 1j * p.gamma_30
+    a4 = d4 + 1j * p.gamma_40
+    bracket = a3 * a4 - omega_c_sq
+    num = -bracket * p.omega_a ** 2
+    a2_bracket = (p.nu_a + 1j * p.gamma_20) * bracket
+    den = a2_bracket - a4 * omega_b_sq
+    bad = abs(den) <= EPS_DEN * (abs(a2_bracket) + abs(a4) * omega_b_sq)
+    return np.where(bad, 0.0, num) / np.where(bad, 1.0, den)
+
+
+def separate_sums(p, time_norm, omega_b, omega_c, weights):
+    """(full, spread-only, damping-only) Fock sums from phases and damping
+    exponents taken as two real products."""
+    nt = time_norm / p.omega_a
+    w = masked_response(p, omega_b, omega_c)
+    phases = -w.real * nt
+    taus = (p.gamma_10 + w.imag) * nt
+    return ((weights * np.exp(-1j * phases - taus)).sum(),
+            np.sum(weights * np.exp(-1j * phases)), float(np.sum(weights * np.exp(-taus))))
+
+
+def separate_budget(p, time_norm, nb, pb, nc, pc):
+    """_fock_sum's budget over one block, from separate_sums."""
+    assert len(nb) * len(nc) <= 1_000_000
+    weights = pb[:, None] * pc[None, :]
+    full, spread, damp = separate_sums(p, time_norm, p.omega_b_tilde * np.sqrt(nb)[:, None],
+                                       p.omega_c_tilde * np.sqrt(nc)[None, :], weights)
+    wsum = float(np.sum(weights))
+    fid = min(float(np.abs(full / wsum)), 1.0)
+    return ErrorBudget(
+        delta_decoherence=max(1.0 - min(float(damp / wsum), 1.0) ** 2, 0.0),
+        delta_coherent_spread=max(1.0 - min(float(np.abs(spread / wsum)), 1.0) ** 2, 0.0),
+        delta_total=1.0 - fid ** 2, fidelity=fid)
+
+
+def separate_delta(p, nu_c, alpha_b, phi):
+    """_two_qubit_delta from separate_sums at the design's time."""
+    time_norm = gate_time(_system_at(p, nu_c, alpha_b), phi)
+    nb, pb, _ = _poisson_window(alpha_b ** 2)
+    weights = pb[:, None]
+    full, _, _ = separate_sums(
+        _system_at(p, nu_c, alpha_b), time_norm, p.omega_b_tilde * np.sqrt(nb)[:, None],
+        p.omega_c_tilde * math.sqrt(p.n_c), weights)
+    return 1.0 - min(float(np.abs(full / float(np.sum(weights)))), 1.0) ** 2
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "reference"
+
+# the lossless chain of test_high_precision, whose denominator vanishes at
+# one real drive amplitude
+NEAR_ROOT = dict(omega_a_tilde=1.0, omega_b_tilde=1.0, omega_c_tilde=1.0, n_a=1, n_c=1,
+                 nu_a=1.0, nu_b=0.3, nu_c=2.0, gamma_10=0.0, gamma_20=0.0, gamma_30=0.0,
+                 gamma_40=0.0)
+
+
+def near_root_drives():
+    """Drive amplitudes whose |denominator| / scale straddles EPS_DEN, from
+    1e-14 to 1e-6 on both sides of the root (test_high_precision's points)."""
+    d3 = NEAR_ROOT["nu_a"] - NEAR_ROOT["nu_b"]
+    d4 = d3 + NEAR_ROOT["nu_c"]
+    root = math.sqrt(NEAR_ROOT["nu_a"] * (d3 * d4 - 1.0) / d4)
+    return np.array([root * math.sqrt(1.0 + 2.0 * sign * r)
+                     for r in (1e-14, 0.5 * EPS_DEN, 0.99 * EPS_DEN, 1.01 * EPS_DEN,
+                               2 * EPS_DEN, 1e-10, 1e-8, 1e-6) for sign in (1, -1)])
+
+
+def random_designs(count):
+    """Two-qubit points over the random-design ranges: drive and probe
+    ratios over decades, suppression 1e-4 to 10, four phases, alpha_b over
+    the default range and nu_c within two decades of its closed form."""
+    rng = random.Random(10)
+    for _ in range(count):
+        cs = OptimizationConstraints(
+            omega_a_over_gamma_20=10.0 ** rng.uniform(math.log10(0.03), 1.0),
+            omega_b_sq_over_omega_c_sq=10.0 ** rng.uniform(-1.0, 1.0),
+            suppression=10.0 ** rng.uniform(-4.0, 1.0),
+            phi=rng.choice([PI, PI / 2, PI / 4, 2 * PI]))
+        p = base_params(cs, 10.0 ** rng.uniform(-9.0, -2.0))
+        alpha = rng.uniform(1.0, 150.0)
+        nu = optimal_detuning(_system_at(p, 1.0, alpha)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        yield p, nu, alpha, cs.phi
+
+
+class TestKernelBits:
+    """The Fock-sum kernel gives the bits of the masked division with
+    separate phase and damping products, wherever its degeneracy bound and
+    its one complex exponent apply and where they do not."""
+
+    def test_delta_on_random_designs(self):
+        for p, nu, alpha, phi in random_designs(40):
+            assert _two_qubit_delta(p, nu, alpha, phi) == separate_delta(p, nu, alpha, phi)
+
+    def test_undriven_mean_component(self):
+        # alpha_b = 0: the window is the vacuum alone, off two-photon
+        # resonance so that the phase rate does not vanish
+        p = replace(base_params(OptimizationConstraints(), 1e-6), nu_a=0.5)
+        assert _two_qubit_delta(p, 80.0, 0.0, PI) == separate_delta(p, 80.0, 0.0, PI)
+
+    def test_lossless_vacuum_component(self):
+        # every width zero: the vacuum component's denominator vanishes, so
+        # the bound fails and the flags are taken per component
+        p = lossless()
+        omega_b = np.sqrt(np.arange(60.0))[:, None]
+        _, _, flags = _w10_terms(p, omega_b * omega_b, 1.0)
+        assert flags is not False and flags[0, 0] and not flags[1:].any()
+        grid = _response_grid(p, omega_b, 1.0)
+        assert grid[0, 0] == 0.0
+        assert np.array_equal(grid, masked_response(p, omega_b, 1.0))
+        for alpha in (2.0, 4.0):
+            assert _two_qubit_delta(p, 125.0, alpha, PI) == separate_delta(p, 125.0, alpha, PI)
+
+    @pytest.mark.parametrize("gamma_40", [0.0, 1e-15])
+    def test_near_the_degeneracy_threshold(self, gamma_40):
+        # a width of 1e-15 keeps the distance from the line above zero but
+        # far below EPS_DEN: the bound fails there too
+        p = SystemParams(**{**NEAR_ROOT, "gamma_40": gamma_40})
+        omega_b = near_root_drives()
+        _, _, flags = _w10_terms(p, omega_b * omega_b, p.omega_c ** 2)
+        assert flags is not False and flags.sum() == 6
+        grid = _response_grid(p, omega_b, p.omega_c)
+        assert np.count_nonzero(grid == 0.0) == 6
+        assert np.array_equal(grid, masked_response(p, omega_b, p.omega_c))
+        nb, pb = omega_b * omega_b, np.full(len(omega_b), 1.0 / len(omega_b))
+        one = np.array([1.0])
+        assert _fock_sum(p, 3.0, nb, pb, one, one) == separate_budget(p, 3.0, nb, pb, one, one)
+
+    def test_fock_sums_on_both_grids(self):
+        # two-qubit: mode c holds one photon; one-qubit: both modes' windows
+        for p, nu, alpha, phi in random_designs(8):
+            design = design_point(p, nu, alpha, phi)
+            nb, pb, _ = _poisson_window(alpha ** 2)
+            nc, pc = np.array([p.n_c]), np.array([1.0])
+            p_nu = _system_at(p, nu, 1.0)
+            assert _fock_sum(p_nu, design.time_norm, nb, pb, nc, pc) == \
+                separate_budget(p_nu, design.time_norm, nb, pb, nc, pc)
+        p = params()
+        p_one = _system_at(p, 125.0, 1.0, 1.0)
+        for alpha_b, alpha_c in ((6.0, 2.0), (10.0, 30.0), (1.5, 0.5)):
+            design = design_point(p, 125.0, alpha_b, PI, alpha_c=alpha_c)
+            nb, pb, _ = _poisson_window(alpha_b ** 2)
+            nc, pc, _ = _poisson_window(alpha_c ** 2)
+            assert _fock_sum(p_one, design.time_norm, nb, pb, nc, pc) == \
+                separate_budget(p_one, design.time_norm, nb, pb, nc, pc)
+
+    @pytest.mark.parametrize("name, suppression", [
+        ("design-delta0.2-s1.json", 1.0), ("design-delta0.2-s1e-3.json", 1e-3)])
+    def test_bound_admits_the_committed_designs(self, name, suppression):
+        design = json.loads((REFERENCE / name).read_text())
+        p = base_params(OptimizationConstraints(suppression=suppression),
+                        design["gamma_10_over_omega_a"])
+        nb, _, _ = _poisson_window(design["alpha_b"] ** 2)
+        omega_b = p.omega_b_tilde * np.sqrt(nb)[:, None]
+        mean = _system_at(p, design["nu_c_over_omega_a"], design["alpha_b"])
+        _, _, flags = _w10_terms(mean, omega_b * omega_b, 1.0)
+        assert flags is False
 
 
 class TestGateDesign:

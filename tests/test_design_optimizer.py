@@ -208,9 +208,10 @@ class TestOptimizeDesign:
     ])
     def test_cold_search_cost(self, monkeypatch, suppression, gammas):
         # the one alpha_b search of design --gamma10 starts from
-        # _seed_alpha_b alone: measured 3 objective calls at every point
-        # but gamma_10 1e-6 at suppression 1e-3 (4), bound at 4.  At 1e-3
-        # the optimum at gamma_10 1e-10 lies past the range's top
+        # _seed_alpha_b alone, with the model's curvature there as its first
+        # slope: measured 3 objective calls at every point but gamma_10
+        # 1e-6 at suppression 1e-3 (4), bound at 4.  At 1e-3 the optimum at
+        # gamma_10 1e-10 lies past the range's top
         cs = OptimizationConstraints(suppression=suppression)
         evals = _count_alpha_b_evals(monkeypatch)
         for gamma in gammas:
@@ -384,6 +385,22 @@ class TestGaussianModel:
         central = math.log((1.0 + 1e-5) / (1.0 - 1e-5)) / math.log(gammas[0] / gammas[1])
         assert slope == pytest.approx(central, rel=1e-8)
 
+    @pytest.mark.parametrize("suppression", [1.0, 1e-3])
+    @pytest.mark.parametrize("phi", [PI, PI / 2])
+    @pytest.mark.parametrize("alpha", [5.0, 12.0, 40.0])
+    def test_alpha_b_curvature(self, alpha, phi, suppression):
+        # the alpha_b search's first slope is d^2 ln x / d(ln alpha_b)^2 of
+        # the model's exponent x, on either side of the knee: against a
+        # central second difference over ln alpha_b +/- 1e-4 (measured:
+        # within 1.6e-6)
+        cs = OptimizationConstraints(suppression=suppression, phi=phi)
+        h = 1e-4
+        ln_x = [math.log(-math.log1p(-_seed_model_error(1e-6, alpha * math.exp(d), cs)))
+                for d in (h, 0.0, -h)]
+        central = (ln_x[0] - 2.0 * ln_x[1] + ln_x[2]) / (h * h)
+        assert design_optimizer._model_curvature(alpha, 1e-6, cs) == pytest.approx(
+            central, rel=1e-5)
+
     @pytest.mark.parametrize("suppression", [1.0, 1e-3, 1e-8])
     def test_alpha_b_minimizes_the_model(self, suppression):
         # Newton's iterates stop at the model's minimum over the whole
@@ -473,25 +490,60 @@ class TestLatticeSearch:
                                     self.SPAN, guess, 0.5)
         assert seen[0] == first
 
-    def test_creeping_approach_keeps_to_its_side(self, monkeypatch):
-        # the first alpha_b search of max_dephasing(0.34) at suppression 1e-3
-        # and phi = pi/2 creeps up on its threshold while the failing end is
-        # unknown: 7883, 7910, 8003, 8004; the unit step to 8004 is the
-        # cheapest test of the threshold, so the search tests 8005 next
-        # instead of bisecting towards the lattice's top (12194)
-        searches = []
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The probes of every _last_true search, one list per search in the
+        order the searches start, and their results once they return."""
+        searches, results = [], {}
         last_true = design_optimizer._last_true
 
         def recorded(evaluate, span, guess, slope):
             seen = []
             searches.append(seen)
-            return last_true(lambda k: seen.append(k) or evaluate(k), span, guess, slope)
+            results[len(searches) - 1] = found = last_true(
+                lambda k: seen.append(k) or evaluate(k), span, guess, slope)
+            return found
 
         monkeypatch.setattr(design_optimizer, "_last_true", recorded)
+        return searches, results
+
+    def test_creeping_approach_keeps_to_its_side(self, monkeypatch):
+        # the first alpha_b search of max_dephasing(0.34) at suppression
+        # 1e-3 and phi = pi/2, rerun with the fixed first slope 2, creeps up
+        # on its threshold while the failing end is unknown: 7883, 7910,
+        # 8003, 8004; the unit step to 8004 is the cheapest test of the
+        # threshold, so the search tests 8005 next instead of bisecting
+        # towards the lattice's top (12194).  With the model's curvature as
+        # its first slope the same search probes 7883, 8011, 8004, 8005
+        runs = []
+        golden = design_optimizer._golden_min
+        monkeypatch.setattr(design_optimizer, "_golden_min",
+                            lambda *args: runs.append(args) or golden(*args))
         max_dephasing(0.34, OptimizationConstraints(suppression=1e-3, phi=PI / 2))
+        f, span, guess, slope = runs[0]
+        monkeypatch.undo()
+        searches, _ = self._recorded(monkeypatch)
+        result = design_optimizer._golden_min(f, span, guess, slope)
+        assert searches[0] == [7883, 8011, 8004, 8005]
+        assert design_optimizer._golden_min(f, span, guess, 2.0) == result
         seen = searches[1]
         assert max(seen) < (8004 + self.STEPS + 1) // 2   # none in the far half
         assert seen == [7883, 7910, 8003, 8004, 8005]
+
+    def test_no_probe_in_the_far_half(self, monkeypatch):
+        # with the fixed first slope 2, the first alpha_b search of this
+        # inversion crept by two unit steps, 6085, 6086, 6087, and then
+        # bisected towards the lattice's top (11236) before it tested 6088;
+        # from the model's curvature it keeps to the threshold's side
+        searches, results = self._recorded(monkeypatch)
+        gamma, _, _ = max_dephasing(0.48, OptimizationConstraints(suppression=1e-2,
+                                                                  phi=PI / 2))
+        seen = searches[1]   # the first, searches[0], is over gamma_10
+        assert max(seen) < (6087 + self.STEPS + 1) // 2
+        assert seen == [5915, 6116, 6087, 6088]
+        # the same lattice points as before: alpha_b index 6088, and gamma_10
+        assert results[1] == 6087
+        assert gamma == 0.00584746691755724
 
     def test_lattice_ends_are_exact(self):
         for span in (design_optimizer._GAMMA_SPAN, design_optimizer._MIN_ALPHA_SPAN):
@@ -619,7 +671,7 @@ class TestLatticeMinimum:
             return -math.expm1(-(x - 2.0 * math.log(x)))
 
         span = (0.01, 50.0)
-        x, value = design_optimizer._golden_min(f, span, math.nan)
+        x, value = design_optimizer._golden_min(f, span, math.nan, 2.0)
         # once per point, and at most two points per step of _last_true
         assert len(evals) == len(set(evals)) <= 2 * (2 * math.log2(design_optimizer._STEPS) + 2)
         assert abs(math.log(x / 2.0)) <= math.log(span[1] / span[0]) / design_optimizer._STEPS
@@ -629,7 +681,7 @@ class TestLatticeMinimum:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_monotone_goes_to_lattice_end(self, sign):
         span = (1e-3, 1e3)
-        x, _ = design_optimizer._golden_min(lambda x: sign * x, span, 1.0)
+        x, _ = design_optimizer._golden_min(lambda x: sign * x, span, 1.0, 2.0)
         assert x == (span[0] if sign > 0 else span[1])
 
 
@@ -732,10 +784,10 @@ class TestMaxDephasing:
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_inversion_cost(self, monkeypatch, suppression):
-        # measured: 3 and 3 searches, 14 and 17 delta calls (the
+        # measured: 3 and 3 searches, 14 and 15 delta calls (the
         # certificate's 4 included), bound with a margin of one search,
         # which costs at most 4 calls once warm
-        measured_searches, measured_calls = {1.0: (3, 14), 1e-3: (3, 17)}[suppression]
+        measured_searches, measured_calls = {1.0: (3, 14), 1e-3: (3, 15)}[suppression]
         searches = []
         search = design_optimizer._two_qubit_optimize
         monkeypatch.setattr(design_optimizer, "_two_qubit_optimize",
@@ -747,20 +799,21 @@ class TestMaxDephasing:
 
     def test_benchmark_round_cost(self, monkeypatch):
         # a seed-0 invert-2q round: design --delta 0.2 at suppressions 1 and
-        # 1e-3; measured: 31 delta calls, bound with a margin of 1
+        # 1e-3; measured: 29 delta calls, bound with a margin of 1
         calls = _count_delta_calls(monkeypatch)
         for suppression in (1.0, 1e-3):
             max_dephasing(0.2, OptimizationConstraints(suppression=suppression))
-        assert len(calls) <= 32
+        assert len(calls) <= 30
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     @pytest.mark.parametrize("target", [0.198, 0.2, 0.202])
     def test_warm_alpha_b_searches(self, monkeypatch, target, suppression):
         # every alpha_b search after the first starts from its seed scaled by
         # the last search's ratio of found alpha_b to seed: measured 4
-        # objective calls in the first search at suppression 1 and 7 at
+        # objective calls in the first search at suppression 1 and 5 at
         # 1e-3, where the cold seed lands 13 to 26 lattice indices below
-        # the minimum, then 3 each
+        # the minimum and the model's curvature, 0.91, makes the first
+        # secant step reach it, then 3 each
         evals = _count_alpha_b_evals(monkeypatch)
         max_dephasing(target, OptimizationConstraints(suppression=suppression))
         assert len(evals) >= 2
