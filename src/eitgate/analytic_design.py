@@ -170,7 +170,8 @@ def fock_dephasing_bound(delta: float, phi: float, n_b: int) -> float:
     gamma_10 / |Omega~_a| = (delta/phi)^2 / n_b, derived for the pessimistic
     configuration |Omega_a| ~ gamma_20 ~ gamma_40 and |Omega~_b|^2 ~
     |Omega~_c|^2.  This is a Fock-input estimate; the coherent-drive
-    optimizer answers a different question and its numbers differ.
+    optimizer answers a different question and its numbers differ.  It is
+    inf where (delta/phi)^2 exceeds the float range.
     """
     if delta <= 0:
         raise InvalidInput(f"delta must be > 0, got {delta}")
@@ -178,7 +179,10 @@ def fock_dephasing_bound(delta: float, phi: float, n_b: int) -> float:
         raise InvalidInput(f"phi must be > 0, got {phi}")
     if n_b < 1:
         raise InvalidInput(f"n_b must be >= 1, got {n_b}")
-    return (delta / phi) ** 2 / n_b
+    try:
+        return (delta / phi) ** 2 / n_b
+    except OverflowError:
+        return math.inf
 
 
 def decoherence_error(tau: float, rho10_initial: complex = 0.5) -> float:

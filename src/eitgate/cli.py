@@ -205,14 +205,15 @@ def cmd_eval(config: RunConfig) -> dict:
     p = config.system
     opts = config.eval
     scale = 1.0 if config.raw else p.omega_a_tilde
-    kerr = kerr_approximation(p) / scale if opts.kerr else None
+    kerr = kerr_approximation(p) if opts.kerr else None
     w = w10(p)
     nu_opt = optimal_detuning(p)
     asym_nu, asym_tau = asymptotic_design(p, opts.phi)
+    tau = tau_eff(p, opts.phi)   # ZeroPhaseRate at |Omega~_a| = 0, before any rate is scaled
     report = {
         "w10_re": w.real / scale,
         "w10_im": w.imag / scale,
-        "tau_eff": tau_eff(p, opts.phi),
+        "tau_eff": tau,
         "optimal_nu_c": nu_opt / scale,
         "asymptotic_nu_c": asym_nu / scale,
         "asymptotic_tau_eff": asym_tau,
@@ -220,11 +221,12 @@ def cmd_eval(config: RunConfig) -> dict:
         "gate_time_norm": gate_time(p, opts.phi),
     }
     if kerr is not None:
-        report["kerr_phase_rate"] = kerr
+        report["kerr_phase_rate"] = kerr / scale
     if config.verbose:
-        t = report["tau_eff"]
-        report["decoherence_error_overlap_form"] = 1.0 - math.exp(-2.0 * t)
-        report["decoherence_error_dual_rail_form"] = decoherence_error(t, 0.5)
+        # InvalidInput at tau < 0, before exp(-2 tau) can overflow
+        dual_rail = decoherence_error(tau, 0.5)
+        report["decoherence_error_overlap_form"] = 1.0 - math.exp(-2.0 * tau)
+        report["decoherence_error_dual_rail_form"] = dual_rail
     return report
 
 

@@ -4,13 +4,14 @@ Finds the (nu_c, alpha_b) pair minimizing the total gate error at a given
 ground-state dephasing, inverts that map to the largest tolerable dephasing
 for a target error, and tabulates trade-off curves over a grid.  All searches
 are deterministic and share one engine: `_last_true` walks a fixed geometric
-lattice by safeguarded secant steps from a closed-form estimate, and returns
-the point a bisection of the whole lattice returns.  alpha_b is the lattice
-local minimum of the total error, found from the strong-drive closed-form
-optimum (`_seed_alpha_b`, rescaled by what the inversion's earlier searches
-found), with nu_c at each point the closed-form optimum `optimal_detuning`
-of the mean Fock component.  The inversion and the one-qubit amplitude
-search find the last lattice point that meets a target.
+lattice by safeguarded secant steps from an estimate, and returns the point
+a bisection of the whole lattice returns.  The two-qubit estimates solve one
+strong-drive error model, `_model`.  alpha_b is the lattice local minimum of
+the total error, found from the model's minimum (`_seed_alpha_b`, rescaled
+by what the inversion's earlier searches found), with nu_c at each point the
+closed-form optimum `optimal_detuning` of the mean Fock component.  The
+inversion and the one-qubit amplitude search find the last lattice point
+that meets a target.
 """
 
 from __future__ import annotations
@@ -144,16 +145,15 @@ def _golden_min(f, span, guess: float, slope: float):
 
     `_last_true` starts at the point nearest guess (the centre without one)
     and steps on the difference of ln(-ln(1 - f)) from k to k + 1, per unit
-    ln x, with slope as its first secant slope: d^2 ln E / d(ln x)^2 of the
-    error exponent E, which the two-qubit search takes from the seeds' model
-    (`_model_curvature`).  f is evaluated once per point.  In `design
-    --delta 0.2` the first search starts from `_seed_alpha_b`, within one
-    index of the lattice minimum at suppression 1 (4 calls, first slope
-    2.13) and 17 indices below it at 1e-3, where the first slope, 0.91, takes
-    the first secant step 16 of them (5 calls).  Every later search starts
-    from `max_dephasing`'s warm start, within one index (3 calls).  The one
-    search of `design --gamma10` makes 3 or 4 from gamma_10 1e-10 to 1e-6
-    at both suppressions.
+    ln x, with slope as its first secant slope, which the two-qubit search
+    takes from the seeds' model (`_model_curvature`).  f is evaluated once
+    per point.  In `design --delta 0.2` the first search starts from
+    `_seed_alpha_b`, within one index of the lattice minimum at suppression
+    1 (4 calls, first slope 2.13) and 17 indices below it at 1e-3, where the
+    first slope, 0.91, takes the first secant step 16 of them (5 calls).
+    Every later search starts from `max_dephasing`'s warm start, within one
+    index (3 calls).  The one search of `design --gamma10` makes 3 or 4
+    from gamma_10 1e-10 to 1e-6 at both suppressions.
     """
     values = {}
 
@@ -206,93 +206,89 @@ def _spread(u: float) -> tuple[float, float, float]:
     return u + 6.0 * v * (2.0 * u - v), 1.0 + 12.0 * v, 12.0 if u < _SPREAD_KNEE else 0.0
 
 
-def _seed_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
-    """alpha_b minimizing the strong-drive error model 2 tau + phi^2 S(u):
-    tau = 2 phi sqrt(gamma_10 (gamma_20 + c alpha_b^2)) is `asymptotic_design`'s
-    exposure at the mean component, phi^2 S the phase spread in the Kerr
-    limit Re W10 ~ 1/n_b (`_spread`), u = 1/alpha_b^2.  y = alpha_b^2 is the
-    positive root of the convex 4 c^2 gamma_10 y^4 - phi^2 (c y + gamma_20)
-    S'(1/y)^2, by Newton's method from twice the larger one-term root of the
-    model without the 6 u^2 term (S' = 1), which lies above the root since
-    S'^2 < 16/3, down until the iterates stop falling.  Only a seed: it may
-    raise ArithmeticError or be non-finite.
-    """
-    gamma_20, c = _seed_rates(constraints)
-    phi_sq, quartic = constraints.phi ** 2, 4.0 * c * c * gamma_10
-    y = 2.0 * max((phi_sq * c / quartic) ** (1 / 3), (phi_sq * gamma_20 / quartic) ** 0.25)
-    while True:
-        u = 1.0 / y
-        _, slope, curve = _spread(u)
-        bend = 2.0 * curve * u * u * (gamma_20 + c * y)
-        step = ((quartic * y ** 4 - phi_sq * (c * y + gamma_20) * slope * slope)
-                / (4.0 * quartic * y ** 3 - phi_sq * slope * (c * slope - bend)))
-        if not y - step < y:
-            return math.sqrt(y)
-        y -= step
-
-
-def _model_curvature(alpha_b: float, gamma_10: float,
-                     constraints: OptimizationConstraints) -> float:
-    """d^2 ln E / d(ln alpha_b)^2 of the seeds' error model E = 2 tau +
-    phi^2 S(u) at alpha_b: the slope per unit ln alpha_b that
-    `_golden_min`'s step function ln E(k + 1) - ln E(k) has there, and so
-    its first secant slope.  With s = ln alpha_b, the drive's share
-    h = c alpha_b^2 / (gamma_20 + c alpha_b^2) of the exposure's width and
-    (S, S', S'') = `_spread`(u): d tau / ds = h tau, d^2 tau / ds^2 =
-    h (2 - h) tau, d S / ds = -2 u S' and d^2 S / ds^2 = 4 u (S' + u S'').
-    At the model's optimum it is 2.13 at suppression 1 and 0.91 at 1e-3 for
-    delta_target 0.2, phi = pi.
+def _model(alpha_b: float, gamma_10: float, constraints: OptimizationConstraints
+           ) -> tuple[float, float, float, float, float]:
+    """(E, E', E'', tau, d E' / d ln gamma_10) of the seeds' strong-drive
+    error model E = 2 tau + phi^2 S(u), primes d/ds at s = ln alpha_b.
+    tau = 2 phi sqrt(gamma_10 (gamma_20 + c alpha_b^2)) is
+    `asymptotic_design`'s exposure at the mean component, phi^2 S the phase
+    spread in the Kerr limit Re W10 ~ 1/n_b (`_spread`), u = 1/alpha_b^2.
+    With h = c alpha_b^2 / (gamma_20 + c alpha_b^2), the drive's share of
+    the exposure's width: d tau / ds = h tau, d^2 tau / ds^2 = h (2 - h)
+    tau, d S / ds = -2 u S' and d^2 S / ds^2 = 4 u (S' + u S''); tau goes
+    as sqrt(gamma_10), so d E' / d ln gamma_10 = h tau.  The one statement
+    of the model: both seeds and `_model_curvature` solve it.
     """
     gamma_20, c = _seed_rates(constraints)
     phi_sq, y = constraints.phi ** 2, alpha_b * alpha_b
     width = gamma_20 + c * y
     tau, share = 2.0 * constraints.phi * math.sqrt(gamma_10 * width), c * y / width
     u = 1.0 / y
-    spread, s, curve = _spread(u)
-    error = 2.0 * tau + phi_sq * spread
-    rise = 2.0 * share * tau - 2.0 * phi_sq * u * s
-    bend = 2.0 * share * (2.0 - share) * tau + 4.0 * phi_sq * u * (s + u * curve)
+    spread, slope, curve = _spread(u)
+    return (2.0 * tau + phi_sq * spread,
+            2.0 * share * tau - 2.0 * phi_sq * u * slope,
+            2.0 * share * (2.0 - share) * tau + 4.0 * phi_sq * u * (slope + u * curve),
+            tau, share * tau)
+
+
+def _seed_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
+    """alpha_b at the minimum of `_model`: Newton's method on E' = 0 in
+    s = ln alpha_b, until its step stops shrinking.  It starts from twice
+    the larger one-term root in alpha_b^2 of the model without the 6 u^2
+    term, 4 c^2 gamma_10 alpha_b^8 = phi^2 (c alpha_b^2 + gamma_20).  Only a
+    seed: it may raise ArithmeticError or be non-finite.
+    """
+    gamma_20, c = _seed_rates(constraints)
+    phi_sq, quartic = constraints.phi ** 2, 4.0 * c * c * gamma_10
+    alpha = math.sqrt(2.0 * max((phi_sq * c / quartic) ** (1 / 3),
+                                (phi_sq * gamma_20 / quartic) ** 0.25))
+    last = math.inf
+    while True:
+        _, rise, bend, _, _ = _model(alpha, gamma_10, constraints)
+        step = rise / bend
+        if not abs(step) < last:
+            return alpha
+        alpha, last = alpha * math.exp(-step), abs(step)
+
+
+def _model_curvature(alpha_b: float, gamma_10: float,
+                     constraints: OptimizationConstraints) -> float:
+    """d^2 ln E / d(ln alpha_b)^2 = E''/E - (E'/E)^2 of `_model` at alpha_b:
+    the slope per unit ln alpha_b that `_golden_min`'s step function
+    ln E(k + 1) - ln E(k) has there, and so its first secant slope.  At the
+    model's optimum it is 2.13 at suppression 1 and 0.91 at 1e-3 for
+    delta_target 0.2, phi = pi.
+    """
+    error, rise, bend, _, _ = _model(alpha_b, gamma_10, constraints)
     return bend / error - (rise / error) ** 2
 
 
 def _seed_gamma_10(delta_target: float, constraints: OptimizationConstraints
                    ) -> tuple[float, float]:
-    """(gamma_10, slope): the gamma_10 at which `_seed_alpha_b`'s optimum
-    meets delta_target, and there the slope d ln x / d ln gamma_10 of the
-    model.  At that optimum, with u = 1/alpha_b^2, r = gamma_20 / c and
-    (S, S') = `_spread`(u), gamma_10 = phi^2 (gamma_20 + c/u) u^4 S'^2 /
-    (4 c^2) and the exponent is x = phi^2 X(u), X = S + 2 u S' (1 + r u):
-    3u + (2r + 30) u^2 + 24 r u^3 up to _SPREAD_KNEE, beyond it
-    3 s u + 2 s r u^2 - 6 k^2 with k the knee and s = 1 + 12 k.  X is
-    increasing, so u solves X(u) = x/phi^2: in closed form beyond the knee,
-    by Newton's method down from the knee below it.  The slope is
-    (d ln x / d ln u) / (4 + 2 u S'' / S' - (c/u) / (gamma_20 + c/u)), with
-    d ln x / d ln u = u (3 S' + 4 r u S' + 2 u S'' (1 + r u)) / X.  Only a
-    seed: it may raise ArithmeticError or be 0 or non-finite.
+    """(gamma_10, slope): the gamma_10 at which `_model`'s minimum over
+    alpha_b meets the exponent x of delta_target, and there the slope
+    d ln x / d ln gamma_10.  Newton's method on the pair (E' = 0, ln E =
+    ln x) in (ln alpha_b, ln gamma_10), until its step stops shrinking.  It
+    starts from the model without the 6 u^2 term, where the pair is
+    phi^2 u (3 + 2 u gamma_20 / c) = x in closed form, and gamma_10 =
+    phi^2 (gamma_20 + c/u) u^4 / (4 c^2).  By the envelope theorem the
+    slope is d ln E / d ln gamma_10 = tau / E.  Only a seed: it may raise
+    ArithmeticError, or ValueError where E underflows to 0, or be 0 or
+    non-finite.
     """
     gamma_20, c = _seed_rates(constraints)
     phi_sq, x = constraints.phi ** 2, _exponent(delta_target)
-    r, k = gamma_20 / c, _SPREAD_KNEE
-    level = x / phi_sq
-    knee = 3.0 * k + (2.0 * r + 30.0) * k * k + 24.0 * r * k ** 3
-    if level >= knee:
-        s = 1.0 + 12.0 * k
-        u = 2.0 * (level + 6.0 * k * k) / (3.0 * s + math.sqrt(
-            9.0 * s * s + 8.0 * s * r * (level + 6.0 * k * k)))
-    else:
-        u = k
-        while True:
-            step = ((3.0 * u + (2.0 * r + 30.0) * u * u + 24.0 * r * u ** 3 - level)
-                    / (3.0 + (4.0 * r + 60.0) * u + 72.0 * r * u * u))
-            if not u - step < u:
-                break
-            u -= step
-    spread, s, curve = _spread(u)
-    drive = c / u
-    grows = u * (3.0 * s + 4.0 * r * u * s + 2.0 * u * curve * (1.0 + r * u)) / (
-        spread + 2.0 * u * s * (1.0 + r * u))
-    slope = grows / (4.0 + 2.0 * u * curve / s - drive / (gamma_20 + drive))
-    return phi_sq * (gamma_20 + drive) * (u * u * s) ** 2 / (4.0 * c * c), slope
+    u = 2.0 * x / phi_sq / (3.0 + math.sqrt(9.0 + 8.0 * gamma_20 / c * x / phi_sq))
+    gamma = phi_sq * (gamma_20 + c / u) * u ** 4 / (4.0 * c * c)
+    alpha, last = u ** -0.5, math.inf
+    while True:
+        error, rise, bend, tau, pull = _model(alpha, gamma, constraints)
+        miss, det = math.log(error / x) * error, bend * tau - pull * rise
+        ds, dg = (pull * miss - rise * tau) / det, (rise * rise - bend * miss) / det
+        step = max(abs(ds), abs(dg))
+        if not step < last:
+            return gamma, tau / error
+        alpha, gamma, last = alpha * math.exp(ds), gamma * math.exp(dg), step
 
 
 def _cold_alpha_b(gamma_10: float, constraints: OptimizationConstraints) -> float:
@@ -310,14 +306,14 @@ def _two_qubit_optimize(gamma_10: float, constraints: OptimizationConstraints,
     error over the lattice of alpha_b_range, nu_c in closed form.
 
     `_golden_min` starts at guess, by default `_seed_alpha_b` (the range's
-    centre where it fails), with the error model's curvature there as its
-    first slope (`_model_curvature`; without a guess 2, the curvature at the
-    optimum of the strong-drive limit 2 tau + (phi / alpha_b)^2), and ranks
-    every point by _two_qubit_delta at the closed-form nu_c
-    (_two_qubit_min_nu), with RegimeWarning silenced for the whole search.
-    The result does not depend on the start where the error is unimodal on
-    the lattice.  It is a lattice point and the
-    search's own error there; `_certified` turns it into a design.
+    centre where it fails), with `_model_curvature` there as its first
+    slope (without a guess 2, the model's curvature at its optimum where
+    the drive dominates the width and S = u), and ranks every point by
+    _two_qubit_delta at the closed-form nu_c (_two_qubit_min_nu), with
+    RegimeWarning silenced for the whole search.  The result does not depend
+    on the start where the error is unimodal on the lattice.  It is a
+    lattice point and the search's own error there; `_certified` turns it
+    into a design.
     """
     params = base_params(constraints, gamma_10)
     if guess is None:
@@ -381,12 +377,12 @@ def optimize_design(gamma_10: float,
 
     Two-qubit mode finds the local minimum over the lattice of alpha_b_range
     (`_golden_min`; 3.1e-4 apart in ln alpha_b over the default range) from
-    the strong-drive closed-form optimum (`_seed_alpha_b`), with nu_c at
-    each point the closed-form optimum `optimal_detuning` of the mean Fock
-    component, and certifies the result against +/-5% perturbations on both
-    axes.  One-qubit mode puts nu_c at the closed-form minimizer of the
-    decoherence floor and reports the smallest alpha_b whose spread error
-    stays below that floor.
+    the seeds' model optimum (`_seed_alpha_b`), with nu_c at each point the
+    closed-form optimum `optimal_detuning` of the mean Fock component, and
+    certifies the result against +/-5% perturbations on both axes.
+    One-qubit mode puts nu_c at the closed-form minimizer of the decoherence
+    floor and reports the smallest alpha_b whose spread error stays below
+    that floor.
 
     Raises
     ------
@@ -516,18 +512,18 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     _GAMMA_SPAN = [1e-14, 1e-1]; the result is its largest point whose
     optimized error is at most delta_target, provided that error is monotone
     nondecreasing in the dephasing.  `_last_true` steps on ln(-ln(1 - delta)).
-    In two-qubit mode it starts from the strong-drive closed form's inverse
-    (`_seed_gamma_10`) with that model's slope there (0.33 to 0.44 per unit
-    ln gamma_10 at delta_target 0.2), and each point is a full search.  The
-    first alpha_b search starts from `_seed_alpha_b`; every later one, from
-    its own seed times the ratio of the alpha_b found to the seed in the
-    search before it, since that ratio barely moves between the points of one
-    call.  Nothing is kept between calls.  Where the gamma_10 seed fails, and
-    in one-qubit mode (on the decoherence floor), the search starts from the
-    lattice's centre with slope 1/2.  At delta_target 0.2 an inversion runs 3
-    searches: the first makes 4 objective calls at suppression 1 and 5 at
-    1e-3, each later one 3, so with the certificate's 4 an inversion makes
-    14 and 15 delta calls.
+    In two-qubit mode it starts from `_seed_gamma_10`, where the minimum of
+    the seeds' model `_model` meets the target, with the model's slope there
+    (0.33 to 0.44 per unit ln gamma_10 at delta_target 0.2), and each point
+    is a full search.  The first alpha_b search starts from `_seed_alpha_b`;
+    every later one, from its own seed times the ratio of the alpha_b found
+    to the seed in the search before it, since that ratio barely moves
+    between the points of one call.  Nothing is kept between calls.  Where
+    the gamma_10 seed fails, and in one-qubit mode (on the decoherence
+    floor), the search starts from the lattice's centre with slope 1/2.  At
+    delta_target 0.2 an inversion runs 3 searches: the first makes 4
+    objective calls at suppression 1 and 5 at 1e-3, each later one 3, so
+    with the certificate's 4 an inversion makes 14 and 15 delta calls.
     Returns (gamma_10, design, budget); a two-qubit point is ranked on its
     search's own delta_total, and only the search at the result is certified
     and built (`_certified`); its delta_total is at most delta_target.
@@ -561,7 +557,7 @@ def max_dephasing(delta_target: float, constraints: OptimizationConstraints
     if constraints.mode == TWO_QUBIT:
         try:
             guess, slope = _seed_gamma_10(delta_target, constraints)
-        except ArithmeticError:
+        except (ArithmeticError, ValueError):
             pass
     k = _last_true(meets, _GAMMA_SPAN, guess, slope)
     if k < 0:

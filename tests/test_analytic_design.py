@@ -188,6 +188,11 @@ class TestAsymptoticDesign:
             asymptotic_design(params(omega_b_tilde=1.0, omega_c_tilde=1.0),
                               PI)
 
+    def test_diverges_without_dephasing(self):
+        # gamma_10~ = 0: the asymptotic optimum detuning diverges
+        with pytest.raises(DegenerateParams, match="gamma_10~ = 0"):
+            asymptotic_design(params(gamma_10=0.0, gamma_30=0.0), PI)
+
 
 class TestFockDephasingBound:
     def test_reference_value(self):

@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -270,15 +273,33 @@ class TestMainEntry:
             outputs.append((stdout, capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
     def test_kerr_at_zero_detuning_exits_3(self, tmp_path, capsys):
-        # an |Omega_b|^2 that overflows is a degenerate response, not a traceback
+        # an |Omega_b|^2 that overflows is a degenerate response, not a
+        # traceback; at |Omega~_a| = 0 the normalised form, which divides
+        # every rate by it, stops at tau_eff's ZeroPhaseRate as --raw does
         cfg = tmp_path / "c.json"
-        for system, error in (({"nu_c": 0.0}, "DivisionByZero"),
-                              ({"omega_b_tilde": 1e160}, "DegenerateDenominator")):
+        for system, error, raw in (({"nu_c": 0.0}, "DivisionByZero", []),
+                                   ({"omega_b_tilde": 1e160}, "DegenerateDenominator", []),
+                                   ({"omega_a_tilde": 0.0}, "ZeroPhaseRate: tau_eff", []),
+                                   ({"omega_a_tilde": 0.0}, "ZeroPhaseRate: tau_eff", ["--raw"])):
             cfg.write_text(json.dumps({"system": system}))
-            assert main(["eval", "--config", str(cfg)]) == 3
+            assert main(["eval", "--config", str(cfg), *raw]) == 3
             assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "design", "sweep", "check-oracle"])
+    @pytest.mark.parametrize("block", [{"delta": 1e300}, {"phi": 1e-300}],
+                             ids=["delta=1e300", "phi=1e-300"])
+    def test_overflowing_dephasing_bound_is_inf(self, tmp_path, capsys, command, block):
+        # (delta / phi)^2 overflows: every command validates the eval block
+        # and runs, and eval writes the bound as null in JSON, inf in CSV
+        assert _run(tmp_path, {"eval": block}, command) == 0
+        if command == "eval":
+            assert _strict_json(capsys.readouterr().out)["fock_dephasing_bound"] is None
+            assert _run(tmp_path, {"eval": block, "format": "csv"}, command) == 0
+            header, row = capsys.readouterr().out.split()
+            assert dict(zip(header.split(","), row.split(",")))["fock_dephasing_bound"] == "inf"
 
     def test_design_forward_flag(self, capsys):
         assert main(["design", "--gamma10", "1e-5"]) == 0
@@ -491,6 +512,61 @@ class TestMainEntry:
         assert main(["check-oracle", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "InvalidInput" in err and "underflows" in err
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_AMPLITUDE = st.one_of(st.just(0.0), _POSITIVE)
+_SYSTEM_BLOCK = st.fixed_dictionaries({}, optional={
+    **_SYSTEM_FIELDS, "omega_a_tilde": _AMPLITUDE, "omega_b_tilde": _AMPLITUDE,
+    "omega_c_tilde": _AMPLITUDE})
+_EVAL_BLOCK = st.fixed_dictionaries({}, optional={
+    "phi": _ANY_FLOAT, "delta": _ANY_FLOAT, "n_b": st.integers(-2, 10 ** 6),
+    "kerr": st.booleans()})
+# bounded, so that no one-qubit double sum grows large
+_BOUNDED_CONSTRAINTS = st.fixed_dictionaries({}, optional={
+    "omega_a_over_gamma_20": st.floats(0.1, 10.0),
+    "omega_b_sq_over_omega_c_sq": st.floats(0.1, 10.0),
+    "suppression": st.floats(1e-3, 10.0), "phi": st.floats(0.1, 2 * PI),
+    "alpha_c_over_alpha_b": st.floats(1.0, 20.0),
+    "mode": st.sampled_from(["two-qubit", "one-qubit"]),
+})
+_GAMMA = st.floats(1e-12, 1e-1)
+_COMMON = {"format": st.sampled_from(["json", "csv"]), "verbose": st.booleans(),
+           "raw": st.booleans()}
+_EVAL_DOCS = st.fixed_dictionaries({}, optional={
+    "system": _SYSTEM_BLOCK, "eval": _EVAL_BLOCK, **_COMMON})
+_DESIGN_DOCS = st.fixed_dictionaries({}, optional={
+    "system": _SYSTEM_BLOCK, "eval": _EVAL_BLOCK,
+    "design": st.one_of(
+        st.fixed_dictionaries({"delta_target": st.one_of(_TARGET, _ANY_FLOAT)}),
+        st.fixed_dictionaries({"gamma_10": st.one_of(_GAMMA, _ANY_FLOAT)})),
+    "sweep": st.one_of(*(st.fixed_dictionaries({"quantity": st.just(quantity)}, optional={
+        "values": st.lists(values, min_size=1, max_size=3),
+        "constraint_sets": st.lists(_BOUNDED_CONSTRAINTS, max_size=2),
+    }) for quantity, values in (("gamma_10", _GAMMA), ("delta_target", _TARGET)))),
+    **_COMMON})
+
+
+class TestNoTraceback:
+    """`main` ends every run with an exit code: a config, math-domain or
+    oracle error is reported, never raised."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=st.one_of(st.tuples(st.sampled_from(["eval", "check-oracle"]), _EVAL_DOCS),
+                          st.tuples(st.sampled_from(["design", "sweep"]), _DESIGN_DOCS)))
+    def test_every_config_exits_with_a_code(self, tmp_path_factory, case):
+        # eval and check-oracle take any system (amplitudes may be 0) and
+        # eval options over the whole finite range; design and sweep take
+        # the default constraints, their own blocks and bounded constraint
+        # sets
+        command, doc = case
+        cfg = tmp_path_factory.getbasetemp() / "no-traceback.json"
+        cfg.write_text(json.dumps(doc))
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings()):
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", str(cfg)])
+        assert code in (0, 2, 3, 4)
 
 
 class TestInProcessCalls:

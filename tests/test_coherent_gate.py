@@ -115,6 +115,13 @@ class TestTruncationBound:
             assert above <= EPS_TRUNC / 2 and below <= EPS_TRUNC / 2
             assert np.allclose(weights, [poisson_pmf(k, mu) for k in n], rtol=1e-9, atol=0)
 
+    def test_tolerance_below_the_grid_raises(self, monkeypatch):
+        # the grid's own reach leaves out about 1e-20, so a tolerance of
+        # 1e-40 fails the check of each side's tail
+        monkeypatch.setattr(coherent_gate, "EPS_TRUNC", 1e-40)
+        with pytest.raises(ArithmeticError, match="leaves out more than 1e-40"):
+            _poisson_window(100.0)
+
     def test_monotonicity(self):
         widths = [len(_poisson_window(mu)[0]) for mu in (0.0, 1.0, 4.0, 16.0, 100.0, 1e4)]
         assert widths == sorted(widths)
@@ -466,6 +473,12 @@ class TestErrorBudget:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(InvalidInput, match=name):
                     ErrorBudget(**{**fields, name: bad})
+
+    def test_inconsistent_total_rejected(self):
+        # delta_total must equal 1 - fidelity^2 = 0.19 to within 1e-9
+        with pytest.raises(InvalidInput, match="inconsistent"):
+            ErrorBudget(delta_decoherence=0.1, delta_coherent_spread=0.1,
+                        delta_total=0.2, fidelity=0.9)
 
 
 class TestGateError:

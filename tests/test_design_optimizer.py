@@ -224,8 +224,9 @@ class TestOptimizeDesign:
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     def test_one_alpha_b_search_per_search(self, monkeypatch, suppression):
-        # the seeds are closed forms: every two-qubit search, forward or
-        # inside the inversion, runs the alpha_b search alone
+        # the seeds solve a scalar model and call no objective: every
+        # two-qubit search, forward or inside the inversion, runs the
+        # alpha_b search alone
         calls = {"searches": 0, "alpha_b": 0}
         search, alpha_b = design_optimizer._two_qubit_optimize, design_optimizer._golden_min
 
@@ -321,10 +322,22 @@ def _seed_model_error(gamma, alpha, cs):
     return -math.expm1(-2.0 * tau - cs.phi ** 2 * spread)
 
 
+def _log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+# the ranges of random two-qubit designs away from the defaults
+ITEM_10_CONSTRAINTS = st.builds(
+    OptimizationConstraints, omega_a_over_gamma_20=_log_uniform(0.03, 10.0),
+    omega_b_sq_over_omega_c_sq=_log_uniform(0.1, 10.0), suppression=_log_uniform(1e-4, 10.0),
+    phi=st.sampled_from([PI, PI / 2, PI / 4, 2 * PI]))
+
+
 class TestGaussianModel:
     """The strong-drive seeds of both two-qubit searches, `_seed_alpha_b`
-    and `_seed_gamma_10`: closed-form optima of the second-cumulant error
-    model 1 - exp(-2 tau - phi^2 S), against the full searches."""
+    and `_seed_gamma_10`: Newton solutions of the second-cumulant error
+    model 1 - exp(-2 tau - phi^2 S) (`_model`), against the model written
+    out here and against the full searches."""
 
     @pytest.mark.parametrize("suppression", [1.0, 1e-3])
     @pytest.mark.parametrize("gamma", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 5e-4])
@@ -374,10 +387,32 @@ class TestGaussianModel:
     @pytest.mark.parametrize("phi", [PI, PI / 2])
     @pytest.mark.parametrize("target", [0.05, 0.2, 0.3])
     def test_gamma_10_slope(self, target, phi, suppression):
-        # the closed-form first slope of the gamma_10 search is d ln x / d ln
-        # gamma_10 along the seed's inverse, x = -ln(1 - delta): against a
-        # central difference over targets x (1 +/- 1e-5)
+        # the first slope of the gamma_10 search, tau / E at the seed, is
+        # d ln x / d ln gamma_10 along the seed's inverse, x = -ln(1 - delta):
+        # against a central difference over targets x (1 +/- 1e-5)
         cs = OptimizationConstraints(suppression=suppression, phi=phi)
+        x = -math.log1p(-target)
+        _, slope = design_optimizer._seed_gamma_10(target, cs)
+        gammas = [design_optimizer._seed_gamma_10(-math.expm1(-x * (1.0 + h)), cs)[0]
+                  for h in (1e-5, -1e-5)]
+        central = math.log((1.0 + 1e-5) / (1.0 - 1e-5)) / math.log(gammas[0] / gammas[1])
+        assert slope == pytest.approx(central, rel=1e-8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cs=ITEM_10_CONSTRAINTS, target=st.floats(0.02, 0.45))
+    def test_round_trip_drawn(self, cs, target):
+        # the round trip away from the defaults, over the ranges of random
+        # designs: the Newton iterates of both seeds stop at the model's
+        # root where its convexity is not known
+        gamma, _ = design_optimizer._seed_gamma_10(target, cs)
+        alpha = design_optimizer._seed_alpha_b(gamma, cs)
+        assert _seed_model_error(gamma, alpha, cs) == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(cs=ITEM_10_CONSTRAINTS, target=st.floats(0.02, 0.45))
+    def test_gamma_10_slope_drawn(self, cs, target):
+        # tau / E at the seed against the central difference of the seed
+        # itself, over the ranges of random designs
         x = -math.log1p(-target)
         _, slope = design_optimizer._seed_gamma_10(target, cs)
         gammas = [design_optimizer._seed_gamma_10(-math.expm1(-x * (1.0 + h)), cs)[0]
@@ -610,12 +645,17 @@ class TestSearchPath:
         ("negative time below resonance", -50.0, 12.0, InvalidInput),
         ("undriven lossless mean component", 10.0, 0.0, DegenerateDenominator),
         ("non-finite sum", 100.0, 12.0, InvalidInput),
+        ("infinite gate time", 100.0, 12.0, InvalidInput),
     ])
     def test_raises_as_full_path(self, monkeypatch, case, nu, alpha, expected):
         if case.startswith("undriven"):
             p = SystemParams(**self.LOSSLESS)
         else:
             p = base_params(OptimizationConstraints(), 1e-6)
+        if case == "infinite gate time":
+            monkeypatch.setattr(coherent_gate, "gate_time", lambda params, phi: math.inf)
+            with pytest.raises(InvalidInput, match="time_norm must be finite"):
+                _two_qubit_delta(p, nu, alpha, PI)
         if case == "non-finite sum":
             monkeypatch.setattr(coherent_gate, "_response_grid",
                                 lambda params, omega_b, omega_c: np.full(
